@@ -1,26 +1,21 @@
-//! Engine-independent connection protocol logic.
+//! Transport-free connection protocol logic.
 //!
-//! Both connection engines — the thread-per-connection blocking engine and
-//! the readiness reactor (`reactor.rs`) — drive the *same* per-connection
-//! protocol: Hello handshake, then a frame loop where `Reports` meet the
-//! bounded queue's typed `Busy` backpressure and queries linearize on the
-//! accept watermark. This module is that protocol, factored free of any
+//! The event loops (`reactor.rs`) drive one per-connection protocol: Hello
+//! handshake, then a frame loop where `Reports` meet the bounded queue's
+//! typed `Busy` backpressure and queries linearize on the accept
+//! watermark. This module is that protocol, factored free of any
 //! transport: every function here maps a decoded [`Frame`] (plus the
 //! shared server state) to a [`FrameAction`], and never touches a socket.
-//! The engines differ only in *how* they read bytes, flush replies, and
-//! wait out a query's watermark — which is exactly why the loopback
-//! conformance suite can demand bit-identical behaviour from both.
+//! The event loop only decides *how* bytes are read, replies flushed, and
+//! a query's watermark waited out; the frame grammar stays here.
 //!
 //! The query path is split in two on purpose: [`apply_frame`] captures the
 //! accept watermark *at frame-processing time* (the linearization point)
 //! and returns [`FrameAction::Settle`]; [`settle_reply`] then builds the
-//! reply once the fold frontier's verdict ([`WaitOutcome`]) is in. The
-//! blocking engine reaches the verdict by parking in
-//! [`IngestQueue::wait_processed`]; the reactor polls
-//! [`IngestQueue::poll_processed`] between events — same watermark, same
-//! verdict mapping, so the reply bytes cannot depend on the engine.
+//! reply once the fold frontier's verdict ([`WaitOutcome`]) is in, which
+//! the event loop obtains by polling [`IngestQueue::poll_processed`]
+//! between events without blocking its other connections.
 //!
-//! [`IngestQueue::wait_processed`]: crate::queue::IngestQueue::wait_processed
 //! [`IngestQueue::poll_processed`]: crate::queue::IngestQueue::poll_processed
 
 use crate::frame::{Frame, LEGACY_PROTOCOL_VERSION, PROTOCOL_VERSION};
@@ -30,7 +25,7 @@ use idldp_core::report::{ReportData, ReportShape};
 use idldp_num::vecops::top_k_indices;
 
 /// The reply [`settle_reply`] gives while ingest is paused and the query's
-/// watermark needs still-queued reports (blocking would park the
+/// watermark needs still-queued reports (waiting would hold the
 /// connection until resume).
 pub(crate) const PAUSED_MSG: &str =
     "ingest is paused; accepted reports are not yet folded — retry after resume";
@@ -108,9 +103,9 @@ fn check_hello_version(version: u32) -> Result<(), String> {
 
 /// Validates a connection's first frame against a mechanism config: it
 /// must be a [`Frame::Hello`] of an accepted protocol version announcing
-/// exactly this mechanism's kind/shape/width/ε. Shared by both server
-/// engines (via the internal `apply_hello`, against the *selected
-/// tenant's* mechanism) and the coordinator frontend, which speaks the
+/// exactly this mechanism's kind/shape/width/ε. Shared by the server
+/// (via the internal `apply_hello`, against the *selected tenant's*
+/// mechanism) and the coordinator frontend, which speaks the
 /// same handshake on behalf of its collector fleet — one implementation,
 /// so the acceptance rule cannot drift. Tenant selection is deliberately
 /// not this function's business: the server resolves the name first via
@@ -330,9 +325,8 @@ fn estimates_now(tenant: &Tenant) -> Result<(u64, Vec<f64>), String> {
 }
 
 /// Builds the reply of a settled query from the watermark wait's verdict.
-/// `None` means the server closed mid-wait — hang up without a reply,
-/// exactly like the blocking engine's mid-query shutdown. A paused queue
-/// draws the typed [`PAUSED_MSG`] refusal; a reached watermark computes
+/// `None` means the server closed mid-wait — hang up without a reply.
+/// A paused queue draws the typed [`PAUSED_MSG`] refusal; a reached watermark computes
 /// the reply over the now-complete merged view.
 pub(crate) fn settle_reply(
     shared: &Shared,
@@ -397,8 +391,8 @@ pub(crate) fn settle_reply(
 /// directly (the universal case, byte-identical to protocol 2). Estimate
 /// and snapshot vectors too large for one frame are split into contiguous
 /// continuation chunks ([`Frame::EstimatesPart`] / [`Frame::Snapshot`])
-/// and written as one buffer — both engines treat a reply as opaque
-/// bytes, so chunking cannot behave differently between them. Any other
+/// and written as one buffer — the event loop treats a reply as opaque
+/// bytes, so chunking is invisible to it. Any other
 /// oversized reply (a `Candidates` list with millions of entries) still
 /// draws the typed over-cap refusal instead of a dead connection.
 ///

@@ -456,7 +456,7 @@ fn check_chunk_bounds(what: &str, total: u64, offset: u64, count: usize) -> Resu
 /// [`Frame::Estimates`] when it fits a frame (byte-identical to the
 /// protocol-2 reply for every small domain), otherwise a sequence of
 /// contiguous [`Frame::EstimatesPart`] chunks of [`CHUNK_ELEMS`] elements.
-/// Both connection engines and the coordinator encode replies through
+/// The server's event loops and the coordinator encode replies through
 /// this, so chunking behaves identically everywhere.
 pub fn estimates_reply_frames(users: u64, estimates: &[f64]) -> Vec<Frame> {
     let whole = Frame::Estimates {
@@ -1053,7 +1053,7 @@ enum AssemblerState {
 /// socket produced — any fragmentation, down to one byte at a time — and
 /// it yields exactly the frames [`Frame::decode`] would yield on the
 /// concatenation. This is the non-blocking twin of [`Frame::read_from`]:
-/// the readiness engine cannot block for the rest of a frame, so the
+/// the server's event loops cannot block for the rest of a frame, so the
 /// decoder keeps its place between reads instead.
 ///
 /// The stream reader's safety properties carry over unchanged:
@@ -1068,7 +1068,7 @@ enum AssemblerState {
 /// grammar there is no way to resynchronise on a length-prefixed wire,
 /// so every later [`Self::feed`] returns the same error and the
 /// connection must be torn down (after flushing the typed
-/// [`Frame::Reject`], as both engines do).
+/// [`Frame::Reject`], as the server does).
 pub struct FrameAssembler {
     state: AssemblerState,
     ready: std::collections::VecDeque<Frame>,
@@ -1186,8 +1186,8 @@ impl FrameAssembler {
 
     /// The typed error an EOF at this point amounts to: `None` at a frame
     /// boundary (clean close), [`FrameError::Truncated`] mid-frame — the
-    /// same classification [`Frame::read_from`] makes, so both engines
-    /// report an interrupted frame identically.
+    /// same classification [`Frame::read_from`] makes, so the server and
+    /// a blocking stream reader report an interrupted frame identically.
     pub fn eof_truncation(&self) -> Option<FrameError> {
         match &self.state {
             AssemblerState::Header { len: 0, .. } => None,

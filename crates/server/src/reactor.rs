@@ -1,4 +1,4 @@
-//! The readiness-based connection engine (the C10k path).
+//! The server's connection engine: readiness event loops (the C10k path).
 //!
 //! Instead of parking one thread per connection, a fixed set of event
 //! loops multiplexes *every* connection over a level-triggered readiness
@@ -29,13 +29,13 @@
 //! connection in `Settling` and the loop re-polls the fold frontier
 //! ([`crate::queue::IngestQueue::poll_processed`]) at a short tick while
 //! any settle is pending — the watermark was captured at
-//! frame-processing time, so linearization (and bit-identity with the
-//! blocking engine) is untouched.
+//! frame-processing time, so linearization (and bit-identity with a batch
+//! run) is untouched.
 //!
 //! Idle peers are reaped: a connection that completes no frame within the
 //! configured idle timeout is closed on the next sweep, whether it is
 //! silent or dripping bytes one poll at a time. Protocol logic lives in
-//! [`crate::conn`], shared verbatim with the blocking engine.
+//! [`crate::conn`], so the loop never touches the frame grammar.
 
 use crate::conn::{self, FrameAction, PendingQuery};
 use crate::frame::{Frame, FrameAssembler};
@@ -162,9 +162,8 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// switched to non-blocking and owned by loop 0.
 ///
 /// # Errors
-/// Poller construction failure — notably `Unsupported` on platforms
-/// without a readiness backend, which `ReportServer::start` surfaces as a
-/// typed config error.
+/// Listener or poller setup failure, which `ReportServer::start` surfaces
+/// as a server i/o error.
 pub(crate) fn spawn(
     listener: TcpListener,
     shared: Arc<Shared>,
@@ -387,9 +386,8 @@ fn on_readable(conn: &mut Conn, shared: &Shared, idle: Option<Duration>) -> bool
 }
 
 /// Queues the typed `Reject` for a protocol violation and moves to
-/// `Closing` — same reply-then-close the blocking engine performs. The
-/// `handshake:` / `bad frame:` prefix matches the blocking engine's per
-/// phase.
+/// `Closing`: the peer learns why before the close. The message carries a
+/// `handshake:` or `bad frame:` prefix naming the phase.
 fn protocol_violation(conn: &mut Conn, detail: &str) {
     let message = match conn.phase {
         Phase::Handshake => format!("handshake: {detail}"),
