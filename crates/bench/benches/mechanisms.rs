@@ -21,7 +21,7 @@
 //! arrived, while the `delta` backend's record is O(traffic) — CI gates on
 //! delta being ≥ 5× faster at the sparse corner (m=100k, t=100). Files
 //! live on `/dev/shm` when the host has it, so the numbers measure
-//! serialization and layout, not disk latency.
+//! serialization and bytes written, not disk latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use idldp_core::budget::Epsilon;
@@ -149,11 +149,12 @@ fn bench_compact_wire_emission(c: &mut Criterion) {
 fn bench_aggregate_fold(c: &mut Criterion) {
     // Server side of all four wire shapes: folding the same 1k native wire
     // reports as one `accumulate_batch` call into a persistent accumulator —
-    // the ingest worker's steady state. OLH resolves `(seed, value)` pairs
-    // from the hot preimage cache (an O(m) hash pass only on a miss),
-    // bit rows carry-save-add through SWAR bit-planes, and subset selection
-    // checks distinctness against a shared scratch row instead of sorting a
-    // copy of every set.
+    // the ingest worker's steady state. Bit rows carry-save-add through
+    // SWAR bit-planes, subset selection checks distinctness against a
+    // shared scratch row instead of sorting a copy of every set, and OLH
+    // pays one O(m) hash pass per `(seed, value)` pair. Nothing is cached
+    // between reports, so replaying the same 1k reports costs what 1k
+    // fresh ones (one new seed per user, as real clients send) cost.
     let mut group = c.benchmark_group("aggregate/fold-1k");
     group.sample_size(10);
     for name in ["oue", "grr", "olh", "ss"] {
@@ -177,14 +178,13 @@ fn bench_aggregate_fold(c: &mut Criterion) {
 }
 
 fn bench_batched_vs_sequential(c: &mut Criterion) {
-    // The fold-engine win in isolation: a cold accumulator per iteration
-    // folds the same 1k reports either one `accumulate` call at a time
-    // (the pre-batch ingest path) or through a single `accumulate_batch`.
-    // Cold means every OLH seed misses the preimage cache, so the batched
-    // OLH fold pays cache bookkeeping on top of the same O(m) hash passes —
-    // the OLH payoff is the warm steady state `aggregate/fold-1k` measures.
-    // Subset selection wins even cold (scratch-row validation beats
-    // sorting a copy of every set).
+    // The batch path in isolation: a fresh accumulator per iteration folds
+    // the same 1k reports either one `accumulate` call at a time (the
+    // pre-batch ingest path) or through a single `accumulate_batch`. OLH
+    // runs the same per-report hash fold both ways (the batch adds only
+    // its up-front validation pass), so its two rows should match; subset
+    // selection wins (scratch-row validation beats sorting a copy of
+    // every set).
     let mut group = c.benchmark_group("aggregate/batched-vs-sequential");
     group.sample_size(10);
     for name in ["olh", "ss"] {
@@ -220,7 +220,10 @@ fn bench_batched_vs_sequential(c: &mut Criterion) {
 }
 
 /// Scratch directory for checkpoint benches: tmpfs when the host has it,
-/// so the measurements are serialization + layout, not disk latency.
+/// where fsync is free, so the numbers are serialization and bytes
+/// written, not disk latency. A disk-backed (ext4) run of the same grid
+/// is slower by the fsync and write-back cost but ranks the backends the
+/// same way (numbers in ARCHITECTURE.md, "Checkpoint stores").
 fn bench_dir() -> PathBuf {
     let shm = PathBuf::from("/dev/shm");
     let base = if shm.is_dir() {
@@ -243,8 +246,9 @@ struct Traffic {
 }
 
 impl Traffic {
-    /// The server's default shard count, so the persisted layout matches
-    /// what a real `snapshot_shards()` hands the store.
+    /// The server's default shard count: each save hands the store eight
+    /// shard snapshots, as `ShardedAccumulator::snapshot_shards` would,
+    /// and the store merges them.
     const SHARDS: usize = 8;
 
     fn new(m: usize) -> Self {

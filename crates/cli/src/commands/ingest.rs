@@ -21,10 +21,9 @@
 //!
 //! With `--checkpoint FILE` the accumulator state is persisted after every
 //! emission through the backend picked by `--checkpoint-store
-//! {file,sharded,delta}` — one atomically-rewritten flat file, one file
-//! per shard behind an fsynced manifest, or an append-only delta log whose
-//! cost tracks the traffic since the last emission instead of the domain
-//! size. Re-running the same command restores the checkpoint and resumes
+//! {file,delta}` — one atomically-rewritten flat file, or an append-only
+//! delta log whose cost tracks the traffic since the last emission instead
+//! of the domain size. Re-running the same command restores the checkpoint and resumes
 //! mid-stream instead of starting over (kill it halfway and run it again
 //! to see the user counter continue where it stopped); every backend
 //! restores v1 flat checkpoints transparently. The tracker needs no extra
@@ -237,19 +236,17 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
                 }
             }
             if let (Some(path), Some(store)) = (checkpoint, store.as_mut()) {
-                // Per-shard snapshots, no merge: the store decides whether
-                // to persist them separately (sharded backend), merged
-                // into one flat file (file backend), or as a delta against
-                // the previous save (delta backend). Every backend commits
-                // atomically, so a kill mid-write can never leave a
-                // half-applied checkpoint behind — same rule as the
-                // server's checkpoint frame.
-                let shard_snaps = match &sink {
-                    Sink::Plain(sharded) => sharded.snapshot_shards(),
-                    Sink::Tracked(tracker) => tracker.sink().snapshot_shards(),
+                // One merged snapshot, written as a flat file (file
+                // backend) or a delta against the previous save (delta
+                // backend). Both backends commit atomically, so a kill
+                // mid-write can never leave a half-applied checkpoint
+                // behind — same rule as the server's checkpoint frame.
+                let snapshot = match &sink {
+                    Sink::Plain(sharded) => sharded.snapshot(),
+                    Sink::Tracked(tracker) => tracker.sink().snapshot(),
                 };
                 store
-                    .save(&shard_snaps, &run_line)
+                    .save(std::slice::from_ref(&snapshot), &run_line)
                     .map_err(|e| format!("checkpoint `{path}`: {e}"))?;
             }
         }

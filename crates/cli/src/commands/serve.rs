@@ -19,12 +19,13 @@
 //! With `--checkpoint FILE` the server restores the file at startup (the
 //! restart path) and persists a new checkpoint whenever a client sends
 //! the checkpoint control frame — through the backend selected by
-//! `--checkpoint-store {file,sharded,delta}`: `file` rewrites one flat
-//! file atomically, `sharded` writes one file per accumulator shard in
-//! parallel behind an fsynced manifest, and `delta` appends only the
-//! count deltas since the previous checkpoint (compacting periodically),
-//! so checkpoint cost tracks traffic instead of domain size. Every
-//! backend restores v1 flat checkpoints transparently.
+//! `--checkpoint-store {file,delta}`: `file` rewrites one flat file
+//! atomically, and `delta` appends only the count deltas since the
+//! previous checkpoint (compacting periodically), so checkpoint cost
+//! tracks traffic instead of domain size. Both backends restore v1 flat
+//! checkpoints transparently; any other state at the path (such as a
+//! manifest of the removed `sharded` layout) is a startup error, never an
+//! empty start.
 //!
 //! Every connection is multiplexed onto `--workers` readiness event
 //! loops, so thousands of mostly-idle clients cost registrations instead

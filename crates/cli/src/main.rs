@@ -78,10 +78,13 @@ USAGE:
   idldp ingest   --mechanism NAME --n N --m M --eps E
                  [--dataset powerlaw|uniform] [--shards S] [--chunk C]
                  [--emit-every U] [--top K] [--seed S] [--checkpoint FILE]
+                 [--checkpoint-store file|delta]
                  [--top-k K [--slack S] | --threshold T] [--track-every U]
       stream perturbed reports through sharded accumulators, emitting
       calibrated estimates every U users; with --checkpoint the
-      accumulator state is persisted and a rerun resumes mid-stream;
+      accumulator state is persisted (one flat file rewritten
+      atomically, or an append-only delta log) and a rerun resumes
+      mid-stream;
       with --top-k (or --threshold) an online heavy-hitter tracker
       prints its evolving candidate set at every emission, and its
       final answer is identical to batch identification
@@ -89,7 +92,7 @@ USAGE:
   idldp serve    --mechanism NAME --m M --eps E [--port P] [--host H]
                  [--seed S] [--shards S] [--queue-capacity Q]
                  [--workers W] [--ingest-workers I] [--checkpoint FILE]
-                 [--idle-timeout-ms N]
+                 [--checkpoint-store file|delta] [--idle-timeout-ms N]
                  [--tenants NAME=MECH:M:EPS:SEED,..] [--tenants-file FILE]
       run the networked ingestion service: accept framed compact-wire
       report batches over TCP with bounded-queue backpressure (Busy

@@ -1,12 +1,9 @@
-//! The batched, word-packed fold engine.
+//! The batched, word-packed fold engine for bit-vector reports.
 //!
-//! Per-report folding pays two per-report costs the batch ingest path does
-//! not have to: bit-vector reports are added byte at a time (`m` adds per
-//! report), and hashed reports re-evaluate [`hash_bucket`] over the whole
-//! item domain (`m` hashes per report). This module provides the three
-//! primitives that turn a *batch* of reports into memory-bound word
-//! operations; `idldp-stream`'s `accumulate_batch` specializations build on
-//! them:
+//! Per-report folding adds a bit-vector report byte at a time (`m` adds
+//! per report). This module provides the two primitives that turn a
+//! *batch* of bit reports into word operations; `idldp-stream`'s
+//! `BitReportAccumulator::accumulate_batch` builds on them:
 //!
 //! * [`pack_bits_row`] — packs a 0/1 byte-per-slot report into `u64` words
 //!   (64 slots per word, LSB-first) with a carry-free multiply-gather, so
@@ -17,23 +14,16 @@
 //!   invariant**: eight planes hold per-slot partial sums up to 255, so at
 //!   most 255 rows may be pending between spills — [`BitPlanes::add_row`]
 //!   enforces this by spilling automatically.
-//! * [`SeedPreimageCache`] — an LRU map from a hashed report's
-//!   `(seed, value)` to the packed bitmap of items it supports
-//!   (`{v : hash_bucket(seed, v, g) == value}`). A miss costs the one
-//!   `O(m)` hash pass that was previously paid per report; a hit replays
-//!   the report as an `O(m/64)` word row. The cache is bounded: each entry
-//!   is `⌈m/64⌉` words (`≈ m/8` bytes), and the default capacity keeps the
-//!   whole cache within ~1 MiB (clamped to `16..=4096` entries), evicting
-//!   least-recently-used entries beyond that.
 //!
-//! All three are pure integer arithmetic, so folds routed through them are
+//! Both are pure integer arithmetic, so folds routed through them are
 //! **bit-identical** to the scalar per-report fold
 //! ([`crate::report::Report::fold_into`]) — the streaming conformance and
-//! property suites assert exactly that.
+//! property suites assert exactly that. Hashed (OLH) reports have no
+//! batched path: every client draws a fresh seed, so nothing computed for
+//! one report can be reused for the next, and they fold one at a time
+//! through [`crate::report::Report::fold_into`].
 
 use crate::error::{Error, Result};
-use crate::report::hash_bucket;
-use std::collections::HashMap;
 
 /// Number of `u64` words needed to pack `slots` bits.
 #[inline]
@@ -134,10 +124,9 @@ impl BitPlanes {
         self.pending
     }
 
-    /// Adds one packed 0/1 row (as produced by [`pack_bits_row`] or a
-    /// [`SeedPreimageCache`] bitmap). Spills into `counts` first if the
-    /// 255-row plane capacity is reached, so the spill invariant holds by
-    /// construction.
+    /// Adds one packed 0/1 row (as produced by [`pack_bits_row`]). Spills
+    /// into `counts` first if the 255-row plane capacity is reached, so the
+    /// spill invariant holds by construction.
     ///
     /// # Panics
     /// Panics if `row` is not `⌈slots/64⌉` words or `counts` is not
@@ -187,176 +176,10 @@ impl BitPlanes {
     }
 }
 
-const NIL: usize = usize::MAX;
-
-#[derive(Clone, Debug)]
-struct CacheEntry {
-    key: (u64, usize),
-    bitmap: Vec<u64>,
-    prev: usize,
-    next: usize,
-}
-
-/// Bounded LRU cache from a hashed report's `(seed, value)` to the packed
-/// preimage bitmap `{v in 0..slots : hash_bucket(seed, v, range) == value}`.
-///
-/// The hot-seed fast path of the batched hashed fold: a miss pays the one
-/// `O(slots)` hash pass, a hit replays the report as `⌈slots/64⌉` word ORs
-/// into a [`BitPlanes`] row. Memory is bounded at
-/// `capacity × ⌈slots/64⌉ × 8` bytes (plus map overhead); the default
-/// capacity keeps that under ~1 MiB, clamped to `16..=4096` entries.
-#[derive(Clone, Debug)]
-pub struct SeedPreimageCache {
-    slots: usize,
-    range: usize,
-    capacity: usize,
-    map: HashMap<(u64, usize), usize>,
-    entries: Vec<CacheEntry>,
-    head: usize,
-    tail: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl SeedPreimageCache {
-    /// A cache for hashed reports over `slots` items with hash range
-    /// `range`, using the default ~1 MiB capacity bound.
-    ///
-    /// # Panics
-    /// Panics if `slots == 0` or `range == 0`.
-    pub fn new(slots: usize, range: usize) -> Self {
-        let entry_bytes = packed_words(slots) * 8;
-        let capacity = ((1usize << 20) / entry_bytes.max(1)).clamp(16, 4096);
-        Self::with_capacity(slots, range, capacity)
-    }
-
-    /// A cache with an explicit entry capacity.
-    ///
-    /// # Panics
-    /// Panics if `slots == 0`, `range == 0`, or `capacity == 0`.
-    pub fn with_capacity(slots: usize, range: usize, capacity: usize) -> Self {
-        assert!(slots > 0, "preimage cache needs at least one slot");
-        assert!(range > 0, "hash range must be positive");
-        assert!(capacity > 0, "cache capacity must be positive");
-        Self {
-            slots,
-            range,
-            capacity,
-            map: HashMap::with_capacity(capacity.min(4096)),
-            entries: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Maximum entries before LRU eviction.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lookups served from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to build the bitmap so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// The packed preimage bitmap of `(seed, value)`: bit `v` is set iff
-    /// `hash_bucket(seed, v, range) == value`. Builds and caches the
-    /// bitmap on a miss (evicting the least-recently-used entry at
-    /// capacity), and marks the entry most-recently-used either way.
-    /// Padding bits beyond `slots` are always zero.
-    pub fn preimage(&mut self, seed: u64, value: usize) -> &[u64] {
-        if let Some(&idx) = self.map.get(&(seed, value)) {
-            self.hits += 1;
-            self.move_to_front(idx);
-            return &self.entries[idx].bitmap;
-        }
-        self.misses += 1;
-        let idx = if self.entries.len() == self.capacity {
-            // Evict the LRU entry, reusing its slab slot and allocation.
-            let idx = self.tail;
-            self.unlink(idx);
-            let old_key = self.entries[idx].key;
-            self.map.remove(&old_key);
-            self.entries[idx].key = (seed, value);
-            idx
-        } else {
-            self.entries.push(CacheEntry {
-                key: (seed, value),
-                bitmap: Vec::new(),
-                prev: NIL,
-                next: NIL,
-            });
-            self.entries.len() - 1
-        };
-        let (slots, range) = (self.slots, self.range);
-        let bitmap = &mut self.entries[idx].bitmap;
-        bitmap.clear();
-        bitmap.resize(packed_words(slots), 0);
-        for v in 0..slots {
-            if hash_bucket(seed, v, range) == value {
-                bitmap[v / 64] |= 1u64 << (v % 64);
-            }
-        }
-        self.map.insert((seed, value), idx);
-        self.push_front(idx);
-        &self.entries[idx].bitmap
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        let (p, n) = (self.entries[idx].prev, self.entries[idx].next);
-        if p == NIL {
-            self.head = n;
-        } else {
-            self.entries[p].next = n;
-        }
-        if n == NIL {
-            self.tail = p;
-        } else {
-            self.entries[n].prev = p;
-        }
-        self.entries[idx].prev = NIL;
-        self.entries[idx].next = NIL;
-    }
-
-    fn push_front(&mut self, idx: usize) {
-        self.entries[idx].prev = NIL;
-        self.entries[idx].next = self.head;
-        if self.head == NIL {
-            self.tail = idx;
-        } else {
-            self.entries[self.head].prev = idx;
-        }
-        self.head = idx;
-    }
-
-    fn move_to_front(&mut self, idx: usize) {
-        if self.head != idx {
-            self.unlink(idx);
-            self.push_front(idx);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::hash_bucket;
 
     /// Deterministic 0/1 stream (no external RNG in unit tests).
     fn bit(i: usize, salt: u64) -> u8 {
@@ -417,52 +240,5 @@ mod tests {
         // A second spill is a no-op.
         planes.spill_into(&mut counts);
         assert_eq!(counts, want);
-    }
-
-    #[test]
-    fn preimage_cache_agrees_with_direct_hashing() {
-        let (slots, range) = (100usize, 7usize);
-        let mut cache = SeedPreimageCache::new(slots, range);
-        for (seed, value) in [(3u64, 0usize), (99, 6), (3, 0), (u64::MAX, 3)] {
-            let bitmap = cache.preimage(seed, value).to_vec();
-            for v in 0..slots {
-                let want = hash_bucket(seed, v, range) == value;
-                let got = (bitmap[v / 64] >> (v % 64)) & 1 == 1;
-                assert_eq!(got, want, "seed={seed} value={value} item {v}");
-            }
-            let padding = slots % 64;
-            assert_eq!(bitmap[slots / 64] >> padding, 0, "padding stays zero");
-        }
-        assert_eq!(cache.misses(), 3, "repeated key hits");
-        assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
-    fn cache_evicts_least_recently_used() {
-        let mut cache = SeedPreimageCache::with_capacity(32, 4, 2);
-        cache.preimage(1, 0);
-        cache.preimage(2, 0);
-        cache.preimage(1, 0); // touch 1: now 2 is LRU
-        cache.preimage(3, 0); // evicts 2
-        assert_eq!(cache.len(), 2);
-        assert_eq!((cache.hits(), cache.misses()), (1, 3));
-        cache.preimage(1, 0); // still cached
-        assert_eq!(cache.hits(), 2);
-        cache.preimage(2, 0); // was evicted: a miss again
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.len(), 2, "capacity bound holds");
-        assert_eq!(cache.capacity(), 2);
-    }
-
-    #[test]
-    fn default_capacity_is_memory_bounded() {
-        // Tiny domains clamp up to 16; huge domains clamp down so the
-        // cache stays within ~1 MiB of bitmap payload.
-        let small = SeedPreimageCache::new(8, 2);
-        assert_eq!(small.capacity(), 4096);
-        let big = SeedPreimageCache::new(1 << 22, 2);
-        assert!(big.capacity() >= 16);
-        assert!(big.capacity() * packed_words(1 << 22) * 8 <= (1 << 20) * 16);
-        assert!(small.is_empty());
     }
 }

@@ -36,10 +36,12 @@
 //!   [`mechanism::Mechanism::perturb_data`] are the shape-aware emission
 //!   path, with `perturb_into` the zero-alloc folded bit-vector twin.
 //! * **Fold engine** — [`fold`]: the batched, word-packed server-side
-//!   folding primitives ([`fold::BitPlanes`] SWAR bit-slice counters,
-//!   carry-free [`fold::pack_bits_row`] packing, and the bounded
-//!   [`fold::SeedPreimageCache`] for hashed reports) that the streaming
-//!   accumulators' `accumulate_batch` specializations build on.
+//!   folding primitives for bit-vector reports ([`fold::BitPlanes`] SWAR
+//!   bit-slice counters and carry-free [`fold::pack_bits_row`] packing)
+//!   that the streaming bit accumulator's `accumulate_batch` builds on.
+//!   Hashed (OLH) reports fold one at a time through
+//!   [`report::Report::fold_into`]: every client draws a fresh seed, so
+//!   there is no work to share across a batch.
 //! * **Estimation** — [`estimator::FrequencyEstimator`]: the unbiased
 //!   calibrated estimator of Eq. 8 and the closed-form MSE of Eq. 9;
 //!   [`oracle::CalibratingOracle`] and [`oracle::MatrixOracle`] adapt it

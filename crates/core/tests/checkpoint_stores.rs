@@ -2,15 +2,15 @@
 //!
 //! The [`SnapshotStore`] trait promises that a crash at any instant leaves
 //! `load` returning either the previous committed checkpoint or the new
-//! one, never a torn hybrid. The unit tests in `snapshot::store` cover the
-//! happy paths; this suite attacks the commit machinery from the outside,
-//! with the damage a real crash (or operator) leaves behind:
+//! one, never a torn hybrid, and that state it cannot restore is an error,
+//! never an empty store. The unit tests in `snapshot::store` cover the
+//! happy paths; this suite attacks the stores from the outside, with the
+//! state a real crash, upgrade or operator leaves behind:
 //!
-//! - **ShardedStore** — the manifest rename is the commit point. A torn or
-//!   garbled manifest, a deleted manifest, and half-written shard files of
-//!   a never-committed next generation must all degrade to the last
-//!   committed generation; only when *nothing* committed survives may the
-//!   store report corruption.
+//! - **Foreign layouts** — a manifest of the removed one-file-per-shard
+//!   layout left at the checkpoint path is [`StoreError::Corrupt`] under
+//!   every backend: reading it as "nothing committed" would drop the
+//!   reports it stood for.
 //! - **DeltaStore** — every record seals itself with a digest, and a
 //!   reload replays the longest intact prefix. A property test truncates
 //!   the log at (and just past) every record boundary and asserts the
@@ -18,10 +18,10 @@
 //!   describe — and that saving on top of the truncated log (append or
 //!   compaction) round-trips the new state exactly.
 
-use idldp_core::snapshot::store::{DeltaStore, ShardedStore};
+use idldp_core::snapshot::store::DeltaStore;
 use idldp_core::snapshot::{open_store, AccumulatorSnapshot, SnapshotStore, StoreError, StoreKind};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 const RUN: &str = "run idldp-test mechanism=oue m=4 eps=1";
 
@@ -39,25 +39,8 @@ fn snap(counts: &[u64], users: u64) -> AccumulatorSnapshot {
     AccumulatorSnapshot::new(counts.to_vec(), users).unwrap()
 }
 
-fn shards_a() -> Vec<AccumulatorSnapshot> {
-    vec![snap(&[5, 0, 2, 1], 6), snap(&[1, 3, 0, 4], 5)]
-}
-
-fn shards_b() -> Vec<AccumulatorSnapshot> {
-    vec![snap(&[9, 2, 2, 1], 9), snap(&[1, 3, 1, 7], 8)]
-}
-
-fn merged(shards: &[AccumulatorSnapshot]) -> AccumulatorSnapshot {
-    let mut m = shards[0].clone();
-    for s in &shards[1..] {
-        m.merge(s).unwrap();
-    }
-    m
-}
-
-/// FNV-1a, as the store's sealed records use it — re-derived here so the
-/// tests can forge crash debris (e.g. a digest-clean shard file of a
-/// generation whose manifest never landed).
+/// FNV-1a, as the stores' sealed records use it — re-derived here so the
+/// tests can forge digest-clean on-disk state.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {
@@ -71,131 +54,28 @@ fn sealed(body: &str) -> String {
     format!("{body}check {:016x}\n", fnv1a(body.as_bytes()))
 }
 
-fn shard_path(base: &Path, gen: u64, idx: usize) -> PathBuf {
-    let mut name = base.as_os_str().to_owned();
-    name.push(format!(".g{gen}.s{idx}"));
-    PathBuf::from(name)
-}
-
 #[test]
-fn sharded_torn_manifest_falls_back_to_the_committed_generation() {
-    let dir = test_dir("torn-manifest");
+fn a_leftover_sharded_manifest_is_corrupt_not_empty() {
+    let dir = test_dir("leftover-manifest");
     let path = dir.join("ckpt");
-    let mut store = open_store(StoreKind::Sharded, &path);
-    store.save(&shards_a(), RUN).unwrap();
-
-    // The crash: the manifest is damaged after commit (bit rot, or a
-    // non-atomic writer died mid-copy). The shard files are intact.
-    std::fs::write(&path, "idldp-manifest v1\ngen 1\nsha").unwrap();
-
-    let mut fresh = open_store(StoreKind::Sharded, &path);
-    let restored = fresh.load().unwrap().expect("committed state survives");
-    assert_eq!(restored.merged(), merged(&shards_a()));
-    assert_eq!(restored.run_line(), Some(RUN));
-
-    // The store stays writable after recovery, and the next load sees the
-    // newly committed state through a clean manifest again.
-    fresh.save(&shards_b(), RUN).unwrap();
-    let again = open_store(StoreKind::Sharded, &path)
-        .load()
-        .unwrap()
-        .unwrap();
-    assert_eq!(again.merged(), merged(&shards_b()));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn sharded_missing_manifest_restores_the_newest_complete_generation() {
-    let dir = test_dir("missing-manifest");
-    let path = dir.join("ckpt");
-    let mut store = open_store(StoreKind::Sharded, &path);
-    store.save(&shards_a(), RUN).unwrap();
-    store.save(&shards_b(), RUN).unwrap();
-
-    // The manifest vanishes entirely; only shard files remain.
-    std::fs::remove_file(&path).unwrap();
-
-    let mut fresh = open_store(StoreKind::Sharded, &path);
-    let restored = fresh.load().unwrap().expect("scan finds the shard files");
-    assert_eq!(restored.merged(), merged(&shards_b()));
-    assert_eq!(restored.run_line(), Some(RUN));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn sharded_partial_next_generation_is_ignored_and_cleaned_up() {
-    let dir = test_dir("partial-gen");
-    let path = dir.join("ckpt");
-    let mut store = open_store(StoreKind::Sharded, &path);
-    store.save(&shards_a(), RUN).unwrap(); // generation 1, committed
-
-    // The crash: a writer died after writing one of generation 2's three
-    // shard files, before the manifest rename. The debris is even
-    // digest-clean — only the missing manifest (and missing siblings)
-    // mark it uncommitted.
-    let debris = shard_path(&path, 2, 0);
+    // What the removed sharded layout committed at the checkpoint path:
+    // a sealed manifest naming shard files that hold the real counts.
     std::fs::write(
-        &debris,
-        sealed("idldp-shard v1\ngen 2\nshard 0 of 3\nusers 99\ncounts 9 9 9 9\n"),
+        &path,
+        sealed(&format!(
+            "idldp-manifest v1\ngen 3\nshards 2\nusers 11\n{RUN}\n"
+        )),
     )
     .unwrap();
-
-    // With the manifest intact, generation 1 restores and the debris is
-    // invisible.
-    let mut fresh = open_store(StoreKind::Sharded, &path);
-    let restored = fresh.load().unwrap().unwrap();
-    assert_eq!(restored.merged(), merged(&shards_a()));
-
-    // Even without the manifest, the scan skips the incomplete generation
-    // 2 and restores the complete generation 1.
-    std::fs::remove_file(&path).unwrap();
-    let mut fresh = open_store(StoreKind::Sharded, &path);
-    let restored = fresh.load().unwrap().unwrap();
-    assert_eq!(restored.merged(), merged(&shards_a()));
-
-    // The next save must not collide with the debris generation: it picks
-    // a fresh one, commits, and sweeps every stale file — debris included.
-    fresh.save(&shards_b(), RUN).unwrap();
-    let again = open_store(StoreKind::Sharded, &path)
-        .load()
-        .unwrap()
-        .unwrap();
-    assert_eq!(again.merged(), merged(&shards_b()));
-    assert!(!debris.exists(), "committed save sweeps crash debris");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn sharded_corruption_with_no_committed_generation_is_an_error_not_empty() {
-    let dir = test_dir("all-corrupt");
-    let path = dir.join("ckpt");
-    let mut store = open_store(StoreKind::Sharded, &path);
-    store.save(&shards_a(), RUN).unwrap();
-
-    // Damage the manifest AND one of the shard files: nothing committed
-    // survives. Silently starting empty would be data loss, so this must
-    // surface as corruption.
-    std::fs::write(&path, "garbage\n").unwrap();
-    std::fs::write(shard_path(&path, 1, 1), "idldp-shard v1\ngen 1\nsha").unwrap();
-
-    let err = open_store(StoreKind::Sharded, &path)
-        .load()
-        .expect_err("unrecoverable damage must not read as an empty store");
-    assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn sharded_store_struct_is_reachable_directly() {
-    // The concrete type is public API (benches construct it without the
-    // `open_store` indirection); keep the path stable.
-    let dir = test_dir("direct");
-    let path = dir.join("ckpt");
-    let mut store = ShardedStore::new(&path);
-    store.save(&shards_a(), "").unwrap();
-    let restored = store.load().unwrap().unwrap();
-    assert_eq!(restored.run_line(), None);
-    assert_eq!(restored.merged(), merged(&shards_a()));
+    for kind in StoreKind::ALL {
+        match open_store(kind, &path).load() {
+            Err(StoreError::Corrupt(detail)) => {
+                assert!(detail.contains("idldp-manifest"), "{kind}: {detail}")
+            }
+            Err(other) => panic!("{kind}: expected Corrupt, got {other}"),
+            Ok(restored) => panic!("{kind}: expected Corrupt, got {restored:?}"),
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

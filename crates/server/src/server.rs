@@ -269,11 +269,11 @@ impl ServerConfigBuilder {
     }
 
     /// Which [`SnapshotStore`] backend persists checkpoints: `file`
-    /// (single atomic rewrite), `sharded` (one file per accumulator
-    /// shard plus an fsynced manifest, parallel write/restore), or
-    /// `delta` (append-only delta log, O(traffic) per checkpoint). Any
-    /// backend transparently restores a checkpoint written by the plain
-    /// file format.
+    /// (single atomic rewrite) or `delta` (append-only delta log,
+    /// O(traffic) per checkpoint). Either backend transparently restores
+    /// a checkpoint written by the plain file format; any other state at
+    /// the path fails [`ReportServer::start`] with
+    /// [`ServerError::Checkpoint`].
     #[must_use]
     pub fn checkpoint_store(mut self, store: StoreKind) -> Self {
         self.config.checkpoint_store = store;

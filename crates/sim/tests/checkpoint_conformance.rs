@@ -8,10 +8,9 @@
 //! restored users, and stream the rest — then assert the final counts and
 //! oracle estimates are **bit-identical** to a batch
 //! [`SimulationPipeline`] run that never checkpointed at all. Every
-//! backend (`file`, `sharded`, `delta`) must pass, across shard counts,
-//! including restores into a *different* shard count than the one that
-//! saved (the sharded backend persists per-shard files; the merge law
-//! makes any J-way split restorable into any N shards).
+//! backend (`file`, `delta`) must pass, across shard counts, including
+//! restores into a *different* shard count than the one that saved (the
+//! merge law makes any J-way split restorable into any N shards).
 //!
 //! The delta backend additionally runs a many-cycle torture loop: a
 //! checkpoint after every chunk with an aggressive compaction schedule,

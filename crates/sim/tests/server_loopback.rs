@@ -33,7 +33,9 @@ use idldp_core::report::ReportData;
 use idldp_core::snapshot::StoreKind;
 use idldp_core::subset::SubsetSelection;
 use idldp_core::ue::UnaryEncoding;
-use idldp_server::{ClientError, PushOutcome, ReportClient, ReportServer, ServerConfig};
+use idldp_server::{
+    ClientError, PushOutcome, ReportClient, ReportServer, ServerConfig, ServerError,
+};
 use idldp_sim::heavy_hitters::identify_top_k;
 use idldp_sim::stream::SeededReportStream;
 use idldp_sim::SimulationPipeline;
@@ -429,8 +431,8 @@ fn checkpoint_restart_resumes_bit_identically_over_tcp() {
     let (want_users, want) = batch_estimates(mechanism.as_ref(), inputs.as_batch());
 
     // Every checkpoint backend: write → kill → restore → resume must be
-    // bit-identical regardless of whether the checkpoint was one flat file,
-    // per-shard files behind a manifest, or an appended delta log.
+    // bit-identical regardless of whether the checkpoint was one flat file
+    // or an appended delta log.
     for store in StoreKind::ALL {
         let label = store.to_string();
         let dir = std::env::temp_dir().join(format!(
@@ -584,6 +586,41 @@ fn v1_flat_checkpoints_migrate_through_every_store_over_tcp() {
         server.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A manifest left by the removed one-file-per-shard checkpoint layout is
+/// refused at startup under every remaining store: starting empty would
+/// silently drop the reports it stood for.
+#[test]
+fn a_leftover_sharded_manifest_is_a_checkpoint_error_not_an_empty_start() {
+    let mechanism: Arc<dyn BatchMechanism> =
+        Arc::new(UnaryEncoding::optimized(eps(1.0), 16).unwrap());
+    let dir = std::env::temp_dir().join(format!("idldp-leftover-manifest-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("serve.ckpt");
+    std::fs::write(
+        &ckpt,
+        "idldp-manifest v1\ngen 1\nshards 2\nusers 11\ncheck 0000000000000000\n",
+    )
+    .unwrap();
+    for store in StoreKind::ALL {
+        let config = ServerConfig::builder()
+            .checkpoint_path(ckpt.clone())
+            .checkpoint_store(store)
+            .build()
+            .unwrap();
+        match ReportServer::start(mechanism.clone() as Arc<dyn Mechanism>, config) {
+            Err(ServerError::Checkpoint(detail)) => {
+                assert!(detail.contains("idldp-manifest"), "{store}: {detail}")
+            }
+            Err(other) => panic!("{store}: expected a checkpoint error, got {other}"),
+            Ok(server) => {
+                server.shutdown();
+                panic!("{store}: a leftover manifest must not start an empty server");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A server bound to the unspecified address must still shut down cleanly:

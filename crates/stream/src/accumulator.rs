@@ -33,7 +33,7 @@
 //! counts are identical by the fold laws tested in `idldp-core`.
 
 use idldp_core::error::{Error, Result};
-use idldp_core::fold::{pack_bits_row, packed_words, BitPlanes, SeedPreimageCache};
+use idldp_core::fold::{pack_bits_row, packed_words, BitPlanes};
 use idldp_core::mechanism::CountAccumulator;
 use idldp_core::report::ReportShape;
 use idldp_core::snapshot::AccumulatorSnapshot;
@@ -442,32 +442,16 @@ impl ReportAccumulator for OneHotReportAccumulator {
 /// The server half of the hash protocol: each report increments every item
 /// `v` whose [`idldp_core::report::hash_bucket`]`(seed, v, range)` equals
 /// the reported value — the same shared hash the client encoded with,
-/// through the one shared fold. Also accepts the
-/// pre-folded [`Report::Bits`] support vector (what
+/// through the one shared fold ([`CountAccumulator::fold_report`]), for
+/// single reports and batches alike. Also accepts the pre-folded
+/// [`Report::Bits`] support vector (what
 /// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for OLH), so
 /// either representation of the same report yields identical counts.
-///
-/// The batched fold path keeps a bounded
-/// [`SeedPreimageCache`]: repeated `(seed, value)` pairs replay as
-/// `O(m/64)` word rows instead of `O(m)` hash evaluations. The cache is a
-/// performance artifact, not state — it never affects counts (cached
-/// bitmaps are exactly what the hash pass would recompute) and is excluded
-/// from equality.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HashedReportAccumulator {
     inner: CountAccumulator,
     range: usize,
-    cache: SeedPreimageCache,
 }
-
-impl PartialEq for HashedReportAccumulator {
-    fn eq(&self, other: &Self) -> bool {
-        // The preimage cache is derived data; equality is counts + range.
-        self.inner == other.inner && self.range == other.range
-    }
-}
-
-impl Eq for HashedReportAccumulator {}
 
 impl HashedReportAccumulator {
     /// An empty accumulator over `report_len` items for hashed reports with
@@ -481,19 +465,12 @@ impl HashedReportAccumulator {
         Self {
             inner: CountAccumulator::new(report_len),
             range,
-            cache: SeedPreimageCache::new(report_len, range),
         }
     }
 
     /// The hash range `g` reported values must lie in.
     pub fn hash_range(&self) -> usize {
         self.range
-    }
-
-    /// The seed-preimage cache behind the batched fold path (statistics
-    /// and capacity introspection; the cache never affects counts).
-    pub fn preimage_cache(&self) -> &SeedPreimageCache {
-        &self.cache
     }
 }
 
@@ -515,43 +492,24 @@ impl ReportAccumulator for HashedReportAccumulator {
         }
     }
 
-    /// Bucket-inverted batch fold: every `(seed, value)` pair resolves to
-    /// its packed preimage bitmap (one `O(m)` hash pass per cache miss,
-    /// `O(m/64)` word adds per hit) and carry-save-adds into SWAR
-    /// bit-planes, spilling into a staged buffer that only commits once
-    /// the whole batch has validated. The bitmap rows are exactly what the
-    /// scalar hash fold would increment, so counts stay bit-identical to
-    /// sequential [`ReportAccumulator::accumulate`].
+    /// Atomic batch fold: validates every report first, so a batch
+    /// containing any invalid report counts nothing, then folds each one
+    /// through the same [`CountAccumulator::fold_report`] as
+    /// [`ReportAccumulator::accumulate`] — bit-identical to sequential
+    /// accumulation by construction.
     fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
         let m = self.report_len();
-        // Validation pass first: nothing folds if any report is invalid.
         for report in reports {
             match report {
                 Report::Hashed { .. } | Report::Bits(_) => report.validate(m, self.range)?,
                 other => return Err(wrong_shape("hashed", other, m)),
             }
         }
-        let mut planes = BitPlanes::new(m);
-        let mut staged = vec![0u64; m];
-        let mut row = vec![0u64; packed_words(m)];
         for report in reports {
-            match *report {
-                Report::Hashed { seed, value } => {
-                    let bitmap = self.cache.preimage(seed, value);
-                    planes.add_row(bitmap, &mut staged);
-                }
-                Report::Bits(bits) => {
-                    pack_bits_row(bits, &mut row).expect("validated 0/1 row");
-                    planes.add_row(&row, &mut staged);
-                }
-                _ => unreachable!("shapes checked in the validation pass"),
-            }
+            self.inner
+                .fold_report(*report, self.range)
+                .expect("report validated in the first pass");
         }
-        planes.spill_into(&mut staged);
-        for (c, &s) in self.inner.counts_mut().iter_mut().zip(&staged) {
-            *c += s;
-        }
-        self.inner.add_users(reports.len() as u64);
         Ok(())
     }
 
@@ -1108,14 +1066,21 @@ mod tests {
         batched.accumulate_batch(&values).unwrap();
         assert_eq!(batched.snapshot(), seq.snapshot());
 
-        // Hashed: repeated seeds exercise the preimage-cache hit path, and
-        // a mixed-in pre-folded bits row exercises the packed-row path.
+        // Hashed: fresh, distinct seeds (what real clients send, one per
+        // user) alongside repeated ones, plus a mixed-in pre-folded bits
+        // row.
         let g = 3usize;
+        let fresh = (0..300u64).map(|i| Report::Hashed {
+            // An odd multiplier is a bijection on u64: every seed differs.
+            seed: (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            value: (i % g as u64) as usize,
+        });
         let hashed: Vec<Report<'_>> = (0..300u64)
             .map(|i| Report::Hashed {
                 seed: i % 7,
                 value: (i % g as u64) as usize,
             })
+            .chain(fresh)
             .chain(std::iter::once(Report::Bits(&bit_rows[0])))
             .collect();
         let mut seq = HashedReportAccumulator::new(m, g);
@@ -1125,7 +1090,6 @@ mod tests {
         let mut batched = HashedReportAccumulator::new(m, g);
         batched.accumulate_batch(&hashed).unwrap();
         assert_eq!(batched.snapshot(), seq.snapshot());
-        assert!(batched.preimage_cache().hits() > 0, "repeated seeds hit");
 
         let sets: Vec<Vec<usize>> = (0..30usize).map(|i| vec![i % m, (i + 3) % m]).collect();
         let set_reports: Vec<Report<'_>> = sets

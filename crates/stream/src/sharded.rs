@@ -158,10 +158,9 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
     }
 
     /// Freezes every shard separately — one snapshot per shard, no merge.
-    /// This is what a sharded checkpoint store persists: each shard's
-    /// state can be written (and later restored) in parallel, and the
-    /// exact-merge law guarantees the merged view of the parts equals
-    /// [`Self::snapshot`] of the whole.
+    /// The exact-merge law guarantees the merged view of the parts equals
+    /// [`Self::snapshot`] of the whole, and [`Self::restore_shards`] takes
+    /// the parts back into any shard count.
     pub fn snapshot_shards(&self) -> Vec<AccumulatorSnapshot> {
         self.shards.iter().map(|s| s.lock().snapshot()).collect()
     }
