@@ -29,7 +29,7 @@ use idldp_core::levels::LevelPartition;
 use idldp_core::mechanism::{BatchMechanism, CountAccumulator, Input, InputBatch};
 use idldp_core::snapshot::{open_store, AccumulatorSnapshot, StoreKind};
 use idldp_num::rng::stream_rng;
-use idldp_sim::stream::{ReportAccumulator, ShapedAccumulator};
+use idldp_sim::stream::ShapedAccumulator;
 use idldp_sim::{BuildContext, MechanismRegistry};
 use std::hint::black_box;
 use std::path::PathBuf;

@@ -13,9 +13,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use idldp_core::budget::Epsilon;
 use idldp_core::idue::Idue;
 use idldp_core::idue_ps::IduePs;
-use idldp_core::mechanism::{InputBatch, Mechanism};
+use idldp_core::mechanism::InputBatch;
 use idldp_num::rng::stream_rng;
-use idldp_sim::stream::{BitReportAccumulator, SeededReportStream, ShardedAccumulator};
+use idldp_sim::stream::{SeededReportStream, ShapedAccumulator, ShardedAccumulator};
 use idldp_sim::{aggregate, SimulationPipeline};
 use std::hint::black_box;
 
@@ -68,7 +68,7 @@ fn bench_single_item_paths(c: &mut Criterion) {
             |b, items| {
                 b.iter(|| {
                     let sink = ShardedAccumulator::new(
-                        BitReportAccumulator::new(mech.report_len()),
+                        ShapedAccumulator::for_mechanism(&mech),
                         idldp_sim::stream::DEFAULT_SHARDS,
                     );
                     SeededReportStream::new(&mech, InputBatch::Items(items), 1)

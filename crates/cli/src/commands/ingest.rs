@@ -41,8 +41,8 @@ use idldp_sim::{BuildContext, MechanismRegistry};
 /// The ingestion sink: the plain sharded accumulator, or the same sharding
 /// wrapped in an online heavy-hitter tracker (`--top-k` / `--threshold`).
 enum Sink<'a> {
-    Plain(ShardedAccumulator<ShapedAccumulator>),
-    Tracked(HeavyHitterTracker<'a, ShapedAccumulator>),
+    Plain(ShardedAccumulator),
+    Tracked(HeavyHitterTracker<'a>),
 }
 
 impl Sink<'_> {
@@ -172,7 +172,7 @@ pub fn run(args: &CliArgs) -> Result<(), String> {
                 .map_err(|e| format!("checkpoint `{path}`: {e}"))?;
             match &mut sink {
                 Sink::Plain(sharded) => sharded
-                    .restore_shards(restored.shards())
+                    .restore(&restored.merged())
                     .map_err(|e| e.to_string())?,
                 Sink::Tracked(tracker) => tracker
                     .restore(&restored.merged())
@@ -298,7 +298,7 @@ fn emit(estimates: &[f64], users: u64, truth: &[f64], top: usize, n: usize) {
 }
 
 /// Prints the tracker's current (just refreshed) candidate set.
-fn emit_candidates(tracker: &HeavyHitterTracker<'_, ShapedAccumulator>) {
+fn emit_candidates(tracker: &HeavyHitterTracker<'_>) {
     let shown: Vec<String> = tracker
         .candidates()
         .iter()

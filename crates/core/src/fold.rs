@@ -3,7 +3,7 @@
 //! Per-report folding adds a bit-vector report byte at a time (`m` adds
 //! per report). This module provides the two primitives that turn a
 //! *batch* of bit reports into word operations; `idldp-stream`'s
-//! `BitReportAccumulator::accumulate_batch` builds on them:
+//! `ShapedAccumulator::accumulate_batch` builds on them for bit reports:
 //!
 //! * [`pack_bits_row`] — packs a 0/1 byte-per-slot report into `u64` words
 //!   (64 slots per word, LSB-first) with a carry-free multiply-gather, so

@@ -130,13 +130,13 @@ impl CountAccumulator {
         }
     }
 
-    /// Adds one report (0/1 per bucket).
+    /// Adds one report (0/1 per bucket) of trusted mechanism output: only
+    /// the width is checked, not the slot values. Untrusted reports go
+    /// through [`Self::fold_report`], which validates them in full.
     ///
     /// # Errors
     /// Returns an error if the report length differs from the accumulator
-    /// width (the same typed contract as the streaming
-    /// `ReportAccumulator::accumulate` in `idldp-stream`); nothing is
-    /// counted on failure.
+    /// width; nothing is counted on failure.
     pub fn accumulate_report(&mut self, report: &[u8]) -> Result<()> {
         if report.len() != self.counts.len() {
             return Err(Error::DimensionMismatch {
@@ -158,8 +158,8 @@ impl CountAccumulator {
     /// `shape_param` is the hash range for
     /// [`crate::report::Report::Hashed`] reports and the pinned set
     /// cardinality for [`crate::report::Report::ItemSet`] reports (`0` =
-    /// unchecked; ignored by the other shapes). This is what the `idldp-stream`
-    /// shape accumulators and the compact-shape batch fast paths build on,
+    /// unchecked; ignored by the other shapes). This is what `idldp-stream`'s
+    /// `ShapedAccumulator` and the compact-shape batch fast paths build on,
     /// so the fold rule exists in exactly one place.
     ///
     /// # Errors

@@ -13,7 +13,7 @@
 //!   [`crate::mechanism::Mechanism::report_shape`] and used by servers to
 //!   pick the matching accumulator.
 //! * [`Report`] — one borrowed report in any shape: the type every
-//!   accumulator ingests (`idldp-stream`'s `ReportAccumulator::accumulate`).
+//!   accumulator ingests (`idldp-stream`'s `ShapedAccumulator::accumulate`).
 //! * [`ReportData`] — the owned twin, produced by
 //!   [`crate::mechanism::Mechanism::perturb_data`]; what a transport would
 //!   serialize.
@@ -71,6 +71,30 @@ impl ReportShape {
             ReportShape::ItemSet { k } => format!("item-set ({k} items)"),
         }
     }
+
+    /// The shape parameter [`Report::validate`] and [`Report::fold_into`]
+    /// take: the hash range for [`ReportShape::Hashed`], the pinned set
+    /// cardinality for [`ReportShape::ItemSet`], and `0` otherwise.
+    pub fn param(&self) -> usize {
+        match *self {
+            ReportShape::Hashed { range } => range,
+            ReportShape::ItemSet { k } => k,
+            ReportShape::Bits | ReportShape::Value => 0,
+        }
+    }
+
+    /// Whether `report` is this shape's own wire variant (a bit vector for
+    /// [`ReportShape::Bits`], a value for [`ReportShape::Value`], and so
+    /// on). Content is not checked; that is [`Report::validate`]'s job.
+    pub fn is_native(&self, report: &Report<'_>) -> bool {
+        matches!(
+            (self, report),
+            (ReportShape::Bits, Report::Bits(_))
+                | (ReportShape::Value, Report::Value(_))
+                | (ReportShape::Hashed { .. }, Report::Hashed { .. })
+                | (ReportShape::ItemSet { .. }, Report::ItemSet(_))
+        )
+    }
 }
 
 /// One client report, borrowed, in whichever shape the transport delivered
@@ -95,6 +119,17 @@ pub enum Report<'a> {
 }
 
 impl Report<'_> {
+    /// Short label of this report's wire variant, for shape-mismatch
+    /// errors (`"bit-vector"`, `"categorical value"`, ...).
+    pub fn shape_label(&self) -> &'static str {
+        match self {
+            Report::Bits(_) => "bit-vector",
+            Report::Value(_) => "categorical value",
+            Report::Hashed { .. } => "hashed (seed, value)",
+            Report::ItemSet(_) => "item-set",
+        }
+    }
+
     /// Copies the report into its owned form.
     pub fn to_data(&self) -> ReportData {
         match *self {
@@ -326,6 +361,29 @@ mod tests {
         );
         assert_eq!(ReportShape::ItemSet { k: 0 }.label(), "item-set");
         assert_eq!(ReportShape::ItemSet { k: 3 }.label(), "item-set (3 items)");
+    }
+
+    #[test]
+    fn shape_params_and_native_variants() {
+        let reports = [
+            ReportData::Bits(vec![1, 0]),
+            ReportData::Value(1),
+            ReportData::Hashed { seed: 3, value: 1 },
+            ReportData::ItemSet(vec![0]),
+        ];
+        let shapes = [
+            (ReportShape::Bits, 0, "bit-vector"),
+            (ReportShape::Value, 0, "categorical value"),
+            (ReportShape::Hashed { range: 5 }, 5, "hashed (seed, value)"),
+            (ReportShape::ItemSet { k: 2 }, 2, "item-set"),
+        ];
+        for (i, (shape, param, label)) in shapes.into_iter().enumerate() {
+            assert_eq!(shape.param(), param, "{shape:?}");
+            assert_eq!(reports[i].as_report().shape_label(), label);
+            for (j, report) in reports.iter().enumerate() {
+                assert_eq!(shape.is_native(&report.as_report()), i == j, "{shape:?}");
+            }
+        }
     }
 
     #[test]

@@ -111,14 +111,6 @@ pub struct RestoredCheckpoint {
 }
 
 impl RestoredCheckpoint {
-    /// The restored state as shard snapshots for
-    /// `ShardedAccumulator::restore_shards`, which redistributes them over
-    /// any shard count. Both backends persist merged state, so this is
-    /// always exactly one snapshot.
-    pub fn shards(&self) -> &[AccumulatorSnapshot] {
-        std::slice::from_ref(&self.snapshot)
-    }
-
     /// The run-identity line (`run ...`) the checkpoint carries, if any.
     pub fn run_line(&self) -> Option<&str> {
         self.run_line.as_deref()

@@ -382,22 +382,25 @@ fn perturb_data_folds_to_perturb_into() {
     // stream — for every mechanism and every shape.
     for mech in all_mechanisms() {
         let load = workload(mech.as_ref(), 200);
-        let shape_param = match mech.report_shape() {
-            ReportShape::Hashed { range } => range,
-            ReportShape::ItemSet { k } => k,
-            _ => 0,
-        };
+        let shape = mech.report_shape();
         for i in 0..load.len() {
             let mut r1 = stream_rng(41, i as u64);
             let mut r2 = stream_rng(41, i as u64);
             let report = mech.perturb_report(load.input(i), &mut r1).unwrap();
             let data = mech.perturb_data(load.input(i), &mut r2).unwrap();
+            assert!(
+                shape.is_native(&data.as_report()),
+                "{}: a {} report under shape {}",
+                mech.kind(),
+                data.as_report().shape_label(),
+                shape.label()
+            );
             let mut via_into = vec![0u64; mech.report_len()];
             for (c, &b) in via_into.iter_mut().zip(&report) {
                 *c = u64::from(b);
             }
             let mut via_data = vec![0u64; mech.report_len()];
-            data.fold_into(&mut via_data, shape_param).unwrap();
+            data.fold_into(&mut via_data, shape.param()).unwrap();
             assert_eq!(
                 via_data,
                 via_into,

@@ -199,33 +199,16 @@ fn validate_report(
     shape: ReportShape,
     report_len: usize,
 ) -> Result<(), String> {
-    let matches_shape = matches!(
-        (report, shape),
-        (ReportData::Bits(_), ReportShape::Bits)
-            | (ReportData::Value(_), ReportShape::Value)
-            | (ReportData::Hashed { .. }, ReportShape::Hashed { .. })
-            | (ReportData::ItemSet(_), ReportShape::ItemSet { .. })
-    );
-    if !matches_shape {
-        let got = match report {
-            ReportData::Bits(_) => "bit-vector",
-            ReportData::Value(_) => "categorical value",
-            ReportData::Hashed { .. } => "hashed (seed, value)",
-            ReportData::ItemSet(_) => "item-set",
-        };
+    let report = report.as_report();
+    if !shape.is_native(&report) {
         return Err(format!(
-            "report shape mismatch: connection negotiated {}, got a {got} report",
-            shape.label()
+            "report shape mismatch: connection negotiated {}, got a {} report",
+            shape.label(),
+            report.shape_label()
         ));
     }
-    let shape_param = match shape {
-        ReportShape::Hashed { range } => range,
-        ReportShape::ItemSet { k } => k,
-        _ => 0,
-    };
     report
-        .as_report()
-        .validate(report_len, shape_param)
+        .validate(report_len, shape.param())
         .map_err(|e| e.to_string())
 }
 

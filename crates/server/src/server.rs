@@ -350,7 +350,7 @@ impl ServerConfigBuilder {
 pub(crate) struct Tenant {
     pub(crate) id: TenantId,
     pub(crate) mechanism: Arc<dyn Mechanism>,
-    pub(crate) sink: ShardedAccumulator<ShapedAccumulator>,
+    pub(crate) sink: ShardedAccumulator,
     /// This tenant's bounded ingest queue — per-tenant capacity
     /// accounting, so a hot tenant's `Busy` cannot starve another
     /// tenant's admissions, and per-tenant watermarks, so queries
@@ -584,7 +584,7 @@ impl ReportServer {
                                 )))
                             }
                         }
-                        sink.restore_shards(restored.shards()).map_err(|e| {
+                        sink.restore(&restored.merged()).map_err(|e| {
                             ServerError::Checkpoint(format!("{}: {e}", path.display()))
                         })?;
                     }

@@ -23,7 +23,7 @@ use idldp_core::report::ReportData;
 use idldp_server::{
     encode_reports_frame, Frame, ReportClient, ReportServer, ServerConfig, PROTOCOL_VERSION,
 };
-use idldp_stream::{ReportAccumulator, ShapedAccumulator};
+use idldp_stream::ShapedAccumulator;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;

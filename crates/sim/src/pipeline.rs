@@ -21,18 +21,19 @@
 //! The pipeline runs *on top of* the `idldp-stream` accumulator layer: the
 //! chunk grid is [`idldp_stream::chunk_ranges`] (shared with
 //! [`idldp_stream::SeededReportStream`]), and the parallel reduce fans
-//! per-chunk [`CountAccumulator`]s into a
-//! [`ShardedAccumulator`]`<`[`BitReportAccumulator`]`>` — the same striped
-//! state an online ingestion service uses. Streaming the identical seeded
-//! report stream therefore reproduces a batch run's counts bit for bit
-//! (asserted by `tests/streaming_conformance.rs` for all eight mechanisms).
+//! per-chunk [`CountAccumulator`]s into a bit-shaped
+//! [`ShardedAccumulator`] — the same striped state an online ingestion
+//! service uses. Streaming the identical seeded report stream therefore
+//! reproduces a batch run's counts bit for bit (asserted by
+//! `tests/streaming_conformance.rs` for all eight mechanisms).
 
 use idldp_core::error::Result;
 use idldp_core::mechanism::{BatchMechanism, CountAccumulator, InputBatch};
+use idldp_core::report::ReportShape;
 use idldp_core::snapshot::AccumulatorSnapshot;
 use idldp_num::rng::stream_rng;
 use idldp_stream::{
-    BitReportAccumulator, Candidate, HeavyHitterTracker, SeededReportStream, ShardedAccumulator,
+    Candidate, HeavyHitterTracker, SeededReportStream, ShapedAccumulator, ShardedAccumulator,
     TrackerMode,
 };
 use rayon::prelude::*;
@@ -131,7 +132,7 @@ impl SimulationPipeline {
         seed: u64,
     ) -> Result<AccumulatorSnapshot> {
         let sink = ShardedAccumulator::new(
-            BitReportAccumulator::new(mechanism.report_len()),
+            ShapedAccumulator::for_shape(ReportShape::Bits, mechanism.report_len()),
             idldp_stream::DEFAULT_SHARDS,
         );
         // (map + reduce rather than try_for_each: the vendored rayon shim
@@ -140,8 +141,7 @@ impl SimulationPipeline {
             .into_par_iter()
             .map(|(ci, lo, hi)| {
                 let chunk = self.run_chunk(mechanism, inputs, seed, ci, lo, hi)?;
-                sink.absorb(&BitReportAccumulator::from(chunk))
-                    .expect("chunk width equals sink width");
+                sink.absorb(&chunk).expect("chunk width equals sink width");
                 Ok(())
             })
             .reduce(|| Ok(()), |left: Result<()>, right| left.and(right))?;
@@ -169,7 +169,7 @@ impl SimulationPipeline {
 
     /// The snapshot-driven online variant: streams the same seeded report
     /// population one report at a time into a
-    /// [`HeavyHitterTracker`] (shape-dispatched sink over `num_shards`
+    /// [`HeavyHitterTracker`] (shape-matched sink over `num_shards`
     /// shards, snapshot → prune → re-estimate every `cadence` reports) and
     /// returns its final answer.
     ///

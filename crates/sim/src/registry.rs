@@ -97,7 +97,7 @@ impl RegistryEntry {
 /// ```
 /// use idldp_core::budget::Epsilon;
 /// use idldp_core::levels::LevelPartition;
-/// use idldp_sim::stream::{BitReportAccumulator, SeededReportStream, ShardedAccumulator};
+/// use idldp_sim::stream::{SeededReportStream, ShapedAccumulator, ShardedAccumulator};
 /// use idldp_sim::{BuildContext, InputBatch, MechanismRegistry, SimulationPipeline};
 ///
 /// let levels = LevelPartition::uniform(8, Epsilon::new(1.0).unwrap()).unwrap();
@@ -115,10 +115,7 @@ impl RegistryEntry {
 ///
 /// // Streaming: the same seeded reports through sharded accumulators —
 /// // bit-identical counts, any shard count.
-/// let sink = ShardedAccumulator::new(
-///     BitReportAccumulator::new(mechanism.report_len()),
-///     4,
-/// );
+/// let sink = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(mechanism.as_ref()), 4);
 /// SeededReportStream::new(mechanism.as_ref(), InputBatch::Items(&items), 42)
 ///     .ingest_all(&sink)
 ///     .unwrap();

@@ -52,10 +52,7 @@ fn test_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn fresh_sink(
-    mechanism: &dyn BatchMechanism,
-    shards: usize,
-) -> ShardedAccumulator<ShapedAccumulator> {
+fn fresh_sink(mechanism: &dyn BatchMechanism, shards: usize) -> ShardedAccumulator {
     ShardedAccumulator::new(ShapedAccumulator::for_mechanism(mechanism), shards)
 }
 
@@ -65,7 +62,7 @@ fn fresh_sink(
 fn stream_range(
     mechanism: &dyn BatchMechanism,
     inputs: InputBatch<'_>,
-    sink: &ShardedAccumulator<ShapedAccumulator>,
+    sink: &ShardedAccumulator,
     from: usize,
     to: usize,
 ) {
@@ -120,7 +117,7 @@ fn kill_and_resume_through_every_store_is_bit_identical_to_batch() {
             assert_eq!(restored.run_line(), Some(RUN_LINE), "{label}: run stamp");
             assert_eq!(restored.num_users(), (n / 2) as u64, "{label}");
             let sink = fresh_sink(&mechanism, load_shards);
-            sink.restore_shards(restored.shards()).unwrap();
+            sink.restore(&restored.merged()).unwrap();
             stream_range(&mechanism, inputs, &sink, n / 2, n);
 
             let streamed = sink.snapshot();
@@ -175,7 +172,7 @@ fn delta_log_survives_many_kill_resume_cycles_across_compactions() {
         let sink = fresh_sink(&mechanism, 4);
         if let Some(restored) = restored {
             assert_eq!(restored.run_line(), Some(RUN_LINE));
-            sink.restore_shards(restored.shards()).unwrap();
+            sink.restore(&restored.merged()).unwrap();
         }
         let to = if lifetime == lifetimes - 1 {
             n

@@ -28,13 +28,11 @@ use idldp_core::mechanism::{BatchMechanism, InputBatch};
 use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::params::LevelParams;
 use idldp_core::ps::PsMechanism;
+use idldp_core::report::ReportShape;
 use idldp_core::snapshot::AccumulatorSnapshot;
 use idldp_core::subset::SubsetSelection;
 use idldp_core::ue::UnaryEncoding;
-use idldp_sim::stream::{
-    BitReportAccumulator, OneHotReportAccumulator, ReportAccumulator, SeededReportStream,
-    ShapedAccumulator, ShardedAccumulator,
-};
+use idldp_sim::stream::{SeededReportStream, ShapedAccumulator, ShardedAccumulator};
 use idldp_sim::SimulationPipeline;
 
 const SEED: u64 = 20200505;
@@ -67,14 +65,12 @@ fn sets(n: usize, m: usize) -> Vec<Vec<u32>> {
 
 /// Runs one mechanism through both routes and asserts bit-identity of
 /// counts, users, and oracle estimates, for every shard count.
-fn assert_streaming_matches_batch<A>(
+fn assert_streaming_matches_batch(
     name: &str,
     mechanism: &dyn BatchMechanism,
     inputs: InputBatch<'_>,
-    make_accumulator: impl Fn(&dyn BatchMechanism) -> A,
-) where
-    A: ReportAccumulator + Clone,
-{
+    make_accumulator: impl Fn(&dyn BatchMechanism) -> ShapedAccumulator,
+) {
     let n = inputs.len() as u64;
     let pipeline = SimulationPipeline::new().with_chunk_size(CHUNK);
     let batch_counts = pipeline.run(mechanism, inputs, SEED).unwrap();
@@ -134,8 +130,13 @@ fn shaped(mech: &dyn BatchMechanism) -> ShapedAccumulator {
 }
 
 /// The plain bit sink, for mechanisms whose wire shape *is* the bit vector.
-fn bits(mech: &dyn BatchMechanism) -> BitReportAccumulator {
-    BitReportAccumulator::new(mech.report_len())
+fn bits(mech: &dyn BatchMechanism) -> ShapedAccumulator {
+    ShapedAccumulator::for_shape(ReportShape::Bits, mech.report_len())
+}
+
+/// The categorical sink, fed the one-hot mechanisms' value reports.
+fn one_hot(mech: &dyn BatchMechanism) -> ShapedAccumulator {
+    ShapedAccumulator::for_shape(ReportShape::Value, mech.report_len())
 }
 
 #[test]
@@ -147,12 +148,7 @@ fn grr_streaming_matches_batch() {
     // shape-dispatched accumulator...
     assert_streaming_matches_batch("grr/shaped", &mech, InputBatch::Items(&inputs), shaped);
     // ...and into the explicit one-hot accumulator — identical counts.
-    assert_streaming_matches_batch(
-        "grr/one-hot",
-        &mech,
-        InputBatch::Items(&inputs),
-        |m: &dyn BatchMechanism| OneHotReportAccumulator::new(m.report_len()),
-    );
+    assert_streaming_matches_batch("grr/one-hot", &mech, InputBatch::Items(&inputs), one_hot);
 }
 
 #[test]
@@ -200,12 +196,7 @@ fn matrix_streaming_matches_batch() {
     let m = 10;
     let mech = PerturbationMatrix::grr(eps(1.5), m).unwrap();
     let inputs = items(4000, m);
-    assert_streaming_matches_batch(
-        "matrix/one-hot",
-        &mech,
-        InputBatch::Items(&inputs),
-        |m: &dyn BatchMechanism| OneHotReportAccumulator::new(m.report_len()),
-    );
+    assert_streaming_matches_batch("matrix/one-hot", &mech, InputBatch::Items(&inputs), one_hot);
     assert_streaming_matches_batch("matrix/shaped", &mech, InputBatch::Items(&inputs), shaped);
 }
 
@@ -238,14 +229,14 @@ fn checkpoint_resume_matches_uninterrupted_stream() {
     let inputs = items(4096, m);
     let batch = InputBatch::Items(&inputs);
 
-    let full_sink = ShardedAccumulator::new(BitReportAccumulator::new(m), 4);
+    let full_sink = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(&mech), 4);
     SeededReportStream::new(&mech, batch, SEED)
         .with_chunk_size(CHUNK)
         .ingest_all(&full_sink)
         .unwrap();
     let want = full_sink.snapshot();
 
-    let first_half = ShardedAccumulator::new(BitReportAccumulator::new(m), 2);
+    let first_half = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(&mech), 2);
     let mut stream = SeededReportStream::new(&mech, batch, SEED).with_chunk_size(CHUNK);
     for _ in 0..8 {
         assert_eq!(stream.ingest_chunk(&first_half).unwrap(), CHUNK);
@@ -254,7 +245,7 @@ fn checkpoint_resume_matches_uninterrupted_stream() {
 
     // "Restart": new process state, different shard count.
     let resumed_snapshot = AccumulatorSnapshot::from_checkpoint_str(&checkpoint).unwrap();
-    let second_half = ShardedAccumulator::new(BitReportAccumulator::new(m), 7);
+    let second_half = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(&mech), 7);
     second_half.restore(&resumed_snapshot).unwrap();
     let mut resumed = SeededReportStream::new(&mech, batch, SEED).with_chunk_size(CHUNK);
     resumed

@@ -1,168 +1,47 @@
 //! Mergeable per-shard accumulation state for every report shape.
 //!
 //! A streaming server never stores reports; each arriving report is folded
-//! into an accumulator immediately. The [`ReportAccumulator`] trait is the
-//! contract that makes this shardable: accumulation is per-shard local
-//! state (`Send`), shards [`ReportAccumulator::merge_from`] exactly
+//! into an accumulator immediately. [`ShapedAccumulator`] is that state:
+//! per-bucket integer counts (a core [`CountAccumulator`]) plus the
+//! [`ReportShape`] the counts are folded under. Accumulation is per-shard
+//! local state (`Send`), shards [`ShapedAccumulator::merge_from`] exactly
 //! (integer counts — no floating point, no order dependence), and a frozen
 //! [`AccumulatorSnapshot`] of the merged state feeds the incremental oracle
 //! path ([`idldp_core::mechanism::FrequencyOracle::estimate_from`]).
 //!
-//! Reports arrive as [`idldp_core::report::Report`] in any of the four wire
-//! shapes; one accumulator exists per shape, and [`ShapedAccumulator`]
-//! dispatches on [`idldp_core::report::ReportShape`] so servers stay free
-//! of per-mechanism `match`es:
+//! Reports arrive as [`Report`] in any of the four wire shapes, and the
+//! accumulator is picked from
+//! [`idldp_core::mechanism::Mechanism::report_shape`], so servers stay free
+//! of per-mechanism `match`es. Every shape folds through the core fold
+//! table ([`Report::fold_into`]):
 //!
-//! * [`BitReportAccumulator`] — 0/1 bit-vector reports, the shape of the
+//! * [`ReportShape::Bits`] — 0/1 bit vectors, the shape of the
 //!   unary-encoding family (UE/RAPPOR/OUE, IDUE, and the PS-extended
 //!   IDUE-PS/PS over `m + ℓ` buckets).
-//! * [`OneHotReportAccumulator`] — categorical reports that are a single
-//!   value in `0..report_len`: GRR's value reports and the one-hot rows of
-//!   a [`idldp_core::matrix_mech::PerturbationMatrix`] mechanism.
-//! * [`HashedReportAccumulator`] — OLH-style `(seed, value)` reports,
-//!   folded over the item domain through the shared
+//! * [`ReportShape::Value`] — a single value in `0..report_len`: GRR's
+//!   value reports and the one-hot rows of a
+//!   [`idldp_core::matrix_mech::PerturbationMatrix`] mechanism.
+//! * [`ReportShape::Hashed`] — OLH-style `(seed, value)` reports, folded
+//!   over the item domain through the shared
 //!   [`idldp_core::report::hash_bucket`] — the *server half* of the hash
 //!   protocol, so client and server agree on the mapping by construction.
-//! * [`ItemSetReportAccumulator`] — subset-selection reports: a small set
-//!   of distinct items, each incrementing its own bucket.
+//! * [`ReportShape::ItemSet`] — subset-selection reports: a small set of
+//!   distinct items, each incrementing its own bucket.
 //!
-//! Every accumulator also accepts the report's *folded* bit-vector form
+//! Every shape also accepts the report's *folded* bit-vector form
 //! ([`Report::Bits`]), which is what
 //! [`idldp_core::mechanism::Mechanism::perturb_into`] writes — so streams
 //! and batch pipelines interoperate with either representation and the
-//! counts are identical by the fold laws tested in `idldp-core`.
+//! counts are identical by the fold laws tested in `idldp-core`. A
+//! value-shaped accumulator takes only one-hot bit vectors.
 
 use idldp_core::error::{Error, Result};
 use idldp_core::fold::{pack_bits_row, packed_words, BitPlanes};
-use idldp_core::mechanism::CountAccumulator;
+use idldp_core::mechanism::{CountAccumulator, Mechanism};
 use idldp_core::report::ReportShape;
 use idldp_core::snapshot::AccumulatorSnapshot;
 
 pub use idldp_core::report::Report;
-
-/// Mergeable, shard-local report accumulation state.
-///
-/// Implementations must satisfy the *exact-merge law*: for any partition of
-/// a report multiset across accumulators and any merge tree over them, the
-/// merged counts equal those of a single accumulator fed every report
-/// sequentially. (Counts are integers; the property test suite checks this
-/// for streams generated by all eight mechanisms, in every wire shape.)
-///
-/// # Examples
-/// ```
-/// use idldp_stream::{BitReportAccumulator, Report, ReportAccumulator};
-///
-/// let mut shard_a = BitReportAccumulator::new(3);
-/// let mut shard_b = BitReportAccumulator::new(3);
-/// shard_a.accumulate(Report::Bits(&[1, 0, 1])).unwrap();
-/// shard_b.accumulate(Report::Bits(&[0, 1, 1])).unwrap();
-///
-/// // Shards merge exactly, regardless of how reports were distributed.
-/// shard_a.merge_from(&shard_b).unwrap();
-/// let snapshot = shard_a.snapshot();
-/// assert_eq!(snapshot.counts(), &[1, 1, 2]);
-/// assert_eq!(snapshot.num_users(), 2);
-/// ```
-pub trait ReportAccumulator: Send {
-    /// Width of the folded count state (the mechanism's
-    /// [`idldp_core::mechanism::Mechanism::report_len`]).
-    fn report_len(&self) -> usize;
-
-    /// Number of reports absorbed so far.
-    fn num_users(&self) -> u64;
-
-    /// Folds one report into the state.
-    ///
-    /// # Errors
-    /// Returns an error if the report has the wrong width, the wrong shape
-    /// for this accumulator, or an out-of-range value; nothing is counted
-    /// on failure.
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()>;
-
-    /// Folds a whole batch of reports (one `Reports` frame, one stream
-    /// chunk) in a single call, so servers pay one lock acquisition and
-    /// one fold per frame instead of per-report round trips.
-    ///
-    /// The default implementation loops [`Self::accumulate`] and is
-    /// therefore **not atomic** — reports before the first invalid one
-    /// stay counted. Every accumulator in this crate overrides it with an
-    /// atomic *validate-all-then-fold* specialization: a batch containing
-    /// any invalid report counts nothing, which is what the transport
-    /// server relies on to reject a hostile mixed frame without a partial
-    /// fold. Counts after a successful call are bit-identical to
-    /// sequential [`Self::accumulate`] of the same reports (the batched
-    /// fold engine in [`idldp_core::fold`] is pure integer arithmetic) —
-    /// the stream property suite asserts this for every shape and every
-    /// batch split.
-    ///
-    /// # Errors
-    /// Returns the first report's validation error.
-    fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
-        for report in reports {
-            self.accumulate(*report)?;
-        }
-        Ok(())
-    }
-
-    /// Adds another accumulator's state (the shard-merge step).
-    ///
-    /// # Errors
-    /// Returns an error if the widths differ.
-    fn merge_from(&mut self, other: &Self) -> Result<()>
-    where
-        Self: Sized;
-
-    /// Freezes the current counts into a snapshot for estimation or
-    /// checkpointing.
-    fn snapshot(&self) -> AccumulatorSnapshot;
-
-    /// Adds this accumulator's per-bucket counts into `out` and returns
-    /// its user count — the allocation-free half of [`Self::snapshot`].
-    /// A caller merging many shards sums them all into one preallocated
-    /// buffer in a single pass instead of allocating an intermediate
-    /// snapshot per shard and merging pairwise.
-    ///
-    /// The default implementation goes through [`Self::snapshot`]; every
-    /// accumulator in this crate overrides it to add straight from its
-    /// count state without allocating.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.report_len()`.
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        let snapshot = self.snapshot();
-        assert_eq!(
-            out.len(),
-            snapshot.report_len(),
-            "count buffer width mismatch"
-        );
-        for (o, &c) in out.iter_mut().zip(snapshot.counts()) {
-            *o += c;
-        }
-        snapshot.num_users()
-    }
-
-    /// Replaces the state with checkpointed counts (restart recovery).
-    ///
-    /// # Errors
-    /// Returns an error if the snapshot width differs from
-    /// [`Self::report_len`].
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()>;
-}
-
-/// Shared [`ReportAccumulator::add_counts_into`] override for the four
-/// count-backed accumulators: add straight out of the count state, no
-/// intermediate snapshot.
-fn add_inner_counts(inner: &CountAccumulator, out: &mut [u64]) -> u64 {
-    assert_eq!(
-        out.len(),
-        inner.counts().len(),
-        "count buffer width mismatch"
-    );
-    for (o, &c) in out.iter_mut().zip(inner.counts()) {
-        *o += c;
-    }
-    inner.num_users()
-}
 
 fn check_width(what: &str, expected: usize, actual: usize) -> Result<()> {
     if expected != actual {
@@ -175,96 +54,190 @@ fn check_width(what: &str, expected: usize, actual: usize) -> Result<()> {
     Ok(())
 }
 
-fn wrong_shape(accumulator: &str, got: &Report<'_>, width: usize) -> Error {
-    let shape = match got {
-        Report::Bits(_) => "bit-vector",
-        Report::Value(_) => "categorical value",
-        Report::Hashed { .. } => "hashed (seed, value)",
-        Report::ItemSet(_) => "item-set",
-    };
-    Error::DimensionMismatch {
-        what: format!("report shape ({accumulator} accumulator got a {shape} report)"),
-        expected: width,
-        actual: 0,
+/// The hot index of a one-hot bit vector of width `m`.
+fn hot_index(bits: &[u8], m: usize) -> Result<usize> {
+    check_width("one-hot report", m, bits.len())?;
+    let mut hot = None;
+    for (i, &b) in bits.iter().enumerate() {
+        match (b, hot) {
+            (0, _) => {}
+            (1, None) => hot = Some(i),
+            _ => {
+                return Err(Error::ParameterOrdering {
+                    detail: "categorical report must be one-hot (one bit set)".into(),
+                })
+            }
+        }
     }
+    hot.ok_or_else(|| Error::ParameterOrdering {
+        detail: "categorical report must be one-hot (one bit set)".into(),
+    })
 }
 
-/// Accumulator for 0/1 bit-vector reports (the UE/IDUE/IDUE-PS shape).
+/// Mergeable, shard-local count state for one [`ReportShape`].
 ///
-/// Thin streaming wrapper over the core
-/// [`CountAccumulator`], which the batch pipeline uses for the same
-/// merge-exact accumulation — both paths therefore count identically by
-/// construction.
+/// Satisfies the *exact-merge law*: for any partition of a report multiset
+/// across accumulators and any merge tree over them, the merged counts
+/// equal those of a single accumulator fed every report sequentially.
+/// (Counts are integers; the property test suite checks this for streams
+/// generated by all eight mechanisms, in every wire shape.)
+///
+/// # Examples
+/// ```
+/// use idldp_core::report::ReportShape;
+/// use idldp_stream::{Report, ShapedAccumulator};
+///
+/// let mut shard_a = ShapedAccumulator::for_shape(ReportShape::Bits, 3);
+/// let mut shard_b = ShapedAccumulator::for_shape(ReportShape::Bits, 3);
+/// shard_a.accumulate(Report::Bits(&[1, 0, 1])).unwrap();
+/// shard_b.accumulate(Report::Bits(&[0, 1, 1])).unwrap();
+///
+/// // Shards merge exactly, regardless of how reports were distributed.
+/// shard_a.merge_from(&shard_b).unwrap();
+/// let snapshot = shard_a.snapshot();
+/// assert_eq!(snapshot.counts(), &[1, 1, 2]);
+/// assert_eq!(snapshot.num_users(), 2);
+///
+/// // Picked from a mechanism, it ingests that mechanism's wire shape.
+/// use idldp_core::budget::Epsilon;
+/// use idldp_core::olh::OptimalLocalHashing;
+/// let olh = OptimalLocalHashing::new(Epsilon::new(1.0).unwrap(), 16).unwrap();
+/// let mut acc = ShapedAccumulator::for_mechanism(&olh);
+/// acc.accumulate(Report::Hashed { seed: 7, value: 1 }).unwrap();
+/// assert_eq!(acc.num_users(), 1);
+/// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BitReportAccumulator {
+pub struct ShapedAccumulator {
+    shape: ReportShape,
     inner: CountAccumulator,
 }
 
-impl BitReportAccumulator {
-    /// An empty accumulator over `report_len` buckets.
+impl ShapedAccumulator {
+    /// An empty accumulator for `shape` over `report_len` buckets.
+    ///
+    /// A pinned [`ReportShape::ItemSet`] cardinality carries through: the
+    /// accumulator then refuses wrong-sized sets — a wrong-sized set folds
+    /// cleanly but biases the subset-selection estimator's
+    /// `(p, (k - p) / (m - 1))` calibration, so it is rejected at the door.
     ///
     /// # Panics
-    /// Panics if `report_len == 0`.
-    pub fn new(report_len: usize) -> Self {
+    /// Panics if `report_len == 0`, a hashed shape has `range < 2`, or an
+    /// item-set shape has `k >= report_len`.
+    pub fn for_shape(shape: ReportShape, report_len: usize) -> Self {
         assert!(report_len > 0, "report width must be positive");
+        match shape {
+            ReportShape::Hashed { range } => {
+                assert!(range >= 2, "hash range must have at least two buckets")
+            }
+            ReportShape::ItemSet { k } => assert!(
+                k < report_len,
+                "pinned cardinality must leave room for exclusion (k < m)"
+            ),
+            ReportShape::Bits | ReportShape::Value => {}
+        }
         Self {
+            shape,
             inner: CountAccumulator::new(report_len),
         }
     }
 
-    /// The wrapped core accumulator.
-    pub fn as_counts(&self) -> &CountAccumulator {
-        &self.inner
+    /// The accumulator matching a mechanism's declared shape and width.
+    pub fn for_mechanism(mechanism: &dyn Mechanism) -> Self {
+        Self::for_shape(mechanism.report_shape(), mechanism.report_len())
     }
 
-    /// Absorbs a whole pre-merged [`CountAccumulator`] (the batch
-    /// pipeline's per-chunk output) in one step.
-    ///
-    /// # Panics
-    /// Panics if the widths differ (the same contract as
-    /// [`CountAccumulator::merge`]).
-    pub fn absorb_counts(&mut self, counts: &CountAccumulator) {
-        self.inner.merge(counts);
+    /// The shape this accumulator ingests.
+    pub fn shape(&self) -> ReportShape {
+        self.shape
     }
-}
 
-impl From<CountAccumulator> for BitReportAccumulator {
-    /// Adopts batch-accumulated counts as streaming shard state (the batch
-    /// pipeline's bridge into the sharded layer).
-    fn from(inner: CountAccumulator) -> Self {
-        Self { inner }
-    }
-}
-
-impl ReportAccumulator for BitReportAccumulator {
-    fn report_len(&self) -> usize {
+    /// Width of the folded count state (the mechanism's
+    /// [`Mechanism::report_len`]).
+    pub fn report_len(&self) -> usize {
         self.inner.counts().len()
     }
 
-    fn num_users(&self) -> u64 {
+    /// Number of reports absorbed so far.
+    pub fn num_users(&self) -> u64 {
         self.inner.num_users()
     }
 
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
-        match report {
-            Report::Bits(bits) => self.inner.accumulate_report(bits),
-            other => Err(wrong_shape("bit", &other, self.report_len())),
+    /// The typed refusal of a report variant this shape does not take.
+    fn wrong_shape(&self, got: &Report<'_>) -> Error {
+        Error::DimensionMismatch {
+            what: format!(
+                "report shape ({} accumulator got a {} report)",
+                self.shape.label(),
+                got.shape_label()
+            ),
+            expected: self.report_len(),
+            actual: 0,
         }
     }
 
-    /// Word-packed batch fold: each report is packed 64 slots per `u64`
+    /// Refuses a report that is neither this shape's native variant nor a
+    /// folded bit vector.
+    fn check_variant(&self, report: &Report<'_>) -> Result<()> {
+        if matches!(report, Report::Bits(_)) || self.shape.is_native(report) {
+            Ok(())
+        } else {
+            Err(self.wrong_shape(report))
+        }
+    }
+
+    /// Folds one report into the state, through the core fold table
+    /// ([`Report::fold_into`]) — the same validation as a batch.
+    ///
+    /// # Errors
+    /// Returns an error if the report has the wrong width, the wrong shape
+    /// for this accumulator, a non-0/1 slot, or an out-of-range value;
+    /// nothing is counted on failure.
+    pub fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
+        self.check_variant(&report)?;
+        match (self.shape, report) {
+            (ReportShape::Value, Report::Bits(bits)) => {
+                let hot = hot_index(bits, self.report_len())?;
+                self.inner.fold_report(Report::Value(hot), 0)
+            }
+            _ => self.inner.fold_report(report, self.shape.param()),
+        }
+    }
+
+    /// Folds a whole batch of reports (one `Reports` frame, one stream
+    /// chunk) in a single call, so servers pay one lock acquisition and
+    /// one fold per frame instead of per-report round trips.
+    ///
+    /// Atomic *validate-all-then-fold*: a batch containing any invalid
+    /// report counts nothing, which is what the transport server relies on
+    /// to reject a hostile mixed frame without a partial fold. Counts after
+    /// a successful call are bit-identical to sequential
+    /// [`Self::accumulate`] of the same reports (the batched fold engine in
+    /// [`idldp_core::fold`] is pure integer arithmetic) — the stream
+    /// property suite asserts this for every shape and every batch split.
+    ///
+    /// # Errors
+    /// Returns the first report's validation error.
+    pub fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
+        match self.shape {
+            ReportShape::Bits => self.fold_bits(reports),
+            ReportShape::Value => self.fold_values(reports),
+            ReportShape::Hashed { .. } => self.fold_hashed(reports),
+            ReportShape::ItemSet { .. } => self.fold_item_sets(reports),
+        }
+    }
+
+    /// Word-packed bit batch: each report is packed 64 slots per `u64`
     /// (packing doubles as the 0/1 validation) and carry-save-added into
     /// SWAR bit-planes, spilling into a staged buffer that only commits
-    /// once the whole batch has validated — atomic, and bit-identical to
-    /// the sequential byte-at-a-time fold.
-    fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
+    /// once the whole batch has validated.
+    fn fold_bits(&mut self, reports: &[Report<'_>]) -> Result<()> {
         let m = self.report_len();
         let mut planes = BitPlanes::new(m);
         let mut staged = vec![0u64; m];
         let mut row = vec![0u64; packed_words(m)];
         for report in reports {
             let Report::Bits(bits) = report else {
-                return Err(wrong_shape("bit", report, m));
+                return Err(self.wrong_shape(report));
             };
             check_width("accumulated report width", m, bits.len())?;
             pack_bits_row(bits, &mut row)?;
@@ -278,112 +251,9 @@ impl ReportAccumulator for BitReportAccumulator {
         Ok(())
     }
 
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        check_width(
-            "accumulator merge width",
-            self.report_len(),
-            other.report_len(),
-        )?;
-        self.inner.merge(&other.inner);
-        Ok(())
-    }
-
-    fn snapshot(&self) -> AccumulatorSnapshot {
-        self.inner.snapshot()
-    }
-
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        add_inner_counts(&self.inner, out)
-    }
-
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
-        check_width(
-            "restored snapshot width",
-            self.report_len(),
-            snapshot.report_len(),
-        )?;
-        self.inner = CountAccumulator::from_snapshot(snapshot);
-        Ok(())
-    }
-}
-
-/// Accumulator for categorical (one-hot) reports: GRR value reports,
-/// matrix-mechanism rows, and PS's sampled item.
-///
-/// Accepts [`Report::Value`] directly, or [`Report::Bits`] that are exactly
-/// one-hot — the folded form
-/// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for these
-/// mechanisms. Shares the core [`CountAccumulator`] state with
-/// [`BitReportAccumulator`], so there is a single implementation of the
-/// exact-merge law; only the accepted report shape differs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OneHotReportAccumulator {
-    inner: CountAccumulator,
-}
-
-impl OneHotReportAccumulator {
-    /// An empty accumulator over `report_len` categories.
-    ///
-    /// # Panics
-    /// Panics if `report_len == 0`.
-    pub fn new(report_len: usize) -> Self {
-        assert!(report_len > 0, "report width must be positive");
-        Self {
-            inner: CountAccumulator::new(report_len),
-        }
-    }
-
-    fn hot_index(&self, bits: &[u8]) -> Result<usize> {
-        check_width("one-hot report", self.report_len(), bits.len())?;
-        let mut hot = None;
-        for (i, &b) in bits.iter().enumerate() {
-            match (b, hot) {
-                (0, _) => {}
-                (1, None) => hot = Some(i),
-                _ => {
-                    return Err(Error::ParameterOrdering {
-                        detail: "categorical report must be one-hot (one bit set)".into(),
-                    })
-                }
-            }
-        }
-        hot.ok_or_else(|| Error::ParameterOrdering {
-            detail: "categorical report must be one-hot (one bit set)".into(),
-        })
-    }
-}
-
-impl ReportAccumulator for OneHotReportAccumulator {
-    fn report_len(&self) -> usize {
-        self.inner.counts().len()
-    }
-
-    fn num_users(&self) -> u64 {
-        self.inner.num_users()
-    }
-
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
-        let value = match report {
-            Report::Value(v) if v < self.report_len() => v,
-            Report::Value(v) => {
-                return Err(Error::IndexOutOfRange {
-                    what: "categorical report value".into(),
-                    index: v,
-                    bound: self.report_len(),
-                })
-            }
-            Report::Bits(bits) => self.hot_index(bits)?,
-            other => return Err(wrong_shape("categorical", &other, self.report_len())),
-        };
-        self.inner.add_bit(value);
-        self.inner.add_user();
-        Ok(())
-    }
-
-    /// Batch fold: resolves every report to its hot index first (the
-    /// all-or-nothing validation pass), then applies the increments — a
-    /// batch containing any invalid report counts nothing.
-    fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
+    /// Value batch: resolves every report to its hot index first (the
+    /// all-or-nothing validation pass), then applies the increments.
+    fn fold_values(&mut self, reports: &[Report<'_>]) -> Result<()> {
         let m = self.report_len();
         let mut values = Vec::with_capacity(reports.len());
         for report in reports {
@@ -396,8 +266,8 @@ impl ReportAccumulator for OneHotReportAccumulator {
                         bound: m,
                     })
                 }
-                Report::Bits(bits) => self.hot_index(bits)?,
-                ref other => return Err(wrong_shape("categorical", other, m)),
+                Report::Bits(bits) => hot_index(bits, m)?,
+                ref other => return Err(self.wrong_shape(other)),
             };
             values.push(value);
         }
@@ -408,245 +278,53 @@ impl ReportAccumulator for OneHotReportAccumulator {
         Ok(())
     }
 
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        check_width(
-            "accumulator merge width",
-            self.report_len(),
-            other.report_len(),
-        )?;
-        self.inner.merge(&other.inner);
-        Ok(())
-    }
-
-    fn snapshot(&self) -> AccumulatorSnapshot {
-        self.inner.snapshot()
-    }
-
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        add_inner_counts(&self.inner, out)
-    }
-
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
-        check_width(
-            "restored snapshot width",
-            self.report_len(),
-            snapshot.report_len(),
-        )?;
-        self.inner = CountAccumulator::from_snapshot(snapshot);
-        Ok(())
-    }
-}
-
-/// Accumulator for hashed `(seed, value)` reports (the OLH wire shape).
-///
-/// The server half of the hash protocol: each report increments every item
-/// `v` whose [`idldp_core::report::hash_bucket`]`(seed, v, range)` equals
-/// the reported value — the same shared hash the client encoded with,
-/// through the one shared fold ([`CountAccumulator::fold_report`]), for
-/// single reports and batches alike. Also accepts the pre-folded
-/// [`Report::Bits`] support vector (what
-/// [`idldp_core::mechanism::Mechanism::perturb_into`] writes for OLH), so
-/// either representation of the same report yields identical counts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HashedReportAccumulator {
-    inner: CountAccumulator,
-    range: usize,
-}
-
-impl HashedReportAccumulator {
-    /// An empty accumulator over `report_len` items for hashed reports with
-    /// values in `0..range`.
-    ///
-    /// # Panics
-    /// Panics if `report_len == 0` or `range < 2`.
-    pub fn new(report_len: usize, range: usize) -> Self {
-        assert!(report_len > 0, "report width must be positive");
-        assert!(range >= 2, "hash range must have at least two buckets");
-        Self {
-            inner: CountAccumulator::new(report_len),
-            range,
-        }
-    }
-
-    /// The hash range `g` reported values must lie in.
-    pub fn hash_range(&self) -> usize {
-        self.range
-    }
-}
-
-impl ReportAccumulator for HashedReportAccumulator {
-    fn report_len(&self) -> usize {
-        self.inner.counts().len()
-    }
-
-    fn num_users(&self) -> u64 {
-        self.inner.num_users()
-    }
-
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
-        match report {
-            // Both the wire pair and its pre-folded support vector go
-            // through the one shared fold (`Report::fold_into`).
-            Report::Hashed { .. } | Report::Bits(_) => self.inner.fold_report(report, self.range),
-            other => Err(wrong_shape("hashed", &other, self.report_len())),
-        }
-    }
-
-    /// Atomic batch fold: validates every report first, so a batch
-    /// containing any invalid report counts nothing, then folds each one
+    /// Hashed batch: validates every report first, then folds each one
     /// through the same [`CountAccumulator::fold_report`] as
-    /// [`ReportAccumulator::accumulate`] — bit-identical to sequential
-    /// accumulation by construction.
-    fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
-        let m = self.report_len();
+    /// [`Self::accumulate`].
+    fn fold_hashed(&mut self, reports: &[Report<'_>]) -> Result<()> {
+        let (m, range) = (self.report_len(), self.shape.param());
         for report in reports {
-            match report {
-                Report::Hashed { .. } | Report::Bits(_) => report.validate(m, self.range)?,
-                other => return Err(wrong_shape("hashed", other, m)),
-            }
+            self.check_variant(report)?;
+            report.validate(m, range)?;
         }
         for report in reports {
             self.inner
-                .fold_report(*report, self.range)
+                .fold_report(*report, range)
                 .expect("report validated in the first pass");
         }
         Ok(())
     }
 
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        check_width(
-            "accumulator merge width",
-            self.report_len(),
-            other.report_len(),
-        )?;
-        check_width("accumulator hash range", self.range, other.range)?;
-        self.inner.merge(&other.inner);
-        Ok(())
-    }
-
-    fn snapshot(&self) -> AccumulatorSnapshot {
-        self.inner.snapshot()
-    }
-
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        add_inner_counts(&self.inner, out)
-    }
-
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
-        check_width(
-            "restored snapshot width",
-            self.report_len(),
-            snapshot.report_len(),
-        )?;
-        self.inner = CountAccumulator::from_snapshot(snapshot);
-        Ok(())
-    }
-}
-
-/// Accumulator for item-set reports (the subset-selection wire shape).
-///
-/// Each report is a small set of distinct items; every member increments
-/// its own bucket and the report counts as one user. Also accepts the
-/// k-hot [`Report::Bits`] membership vector.
-///
-/// When built with [`ItemSetReportAccumulator::with_cardinality`] the
-/// accumulator pins the exact set size `k` the mechanism emits
-/// ([`ReportShape::ItemSet`]'s `k` field) and refuses explicit item-set
-/// reports of any other size — a wrong-sized set folds cleanly but biases
-/// the subset-selection estimator's `(p, (k - p) / (m - 1))` calibration,
-/// so the server rejects it at the door.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ItemSetReportAccumulator {
-    inner: CountAccumulator,
-    /// Pinned set cardinality, or `0` when unchecked.
-    k: usize,
-}
-
-impl ItemSetReportAccumulator {
-    /// An empty accumulator over `report_len` items, accepting any set
-    /// cardinality.
-    ///
-    /// # Panics
-    /// Panics if `report_len == 0`.
-    pub fn new(report_len: usize) -> Self {
-        Self::with_cardinality(report_len, 0)
-    }
-
-    /// An empty accumulator over `report_len` items that refuses explicit
-    /// item-set reports whose size differs from `k` (`k == 0` leaves the
-    /// cardinality unchecked).
-    ///
-    /// # Panics
-    /// Panics if `report_len == 0` or `k >= report_len`.
-    pub fn with_cardinality(report_len: usize, k: usize) -> Self {
-        assert!(report_len > 0, "report width must be positive");
-        assert!(
-            k < report_len,
-            "pinned cardinality must leave room for exclusion (k < m)"
-        );
-        Self {
-            inner: CountAccumulator::new(report_len),
-            k,
-        }
-    }
-
-    /// The pinned set cardinality, or `0` when any size is accepted.
-    pub fn cardinality(&self) -> usize {
-        self.k
-    }
-}
-
-impl ReportAccumulator for ItemSetReportAccumulator {
-    fn report_len(&self) -> usize {
-        self.inner.counts().len()
-    }
-
-    fn num_users(&self) -> u64 {
-        self.inner.num_users()
-    }
-
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
-        match report {
-            // Both the wire set and its k-hot membership vector go through
-            // the one shared fold (`Report::fold_into`), which validates
-            // range, distinctness, and the pinned cardinality before
-            // counting anything.
-            Report::ItemSet(_) | Report::Bits(_) => self.inner.fold_report(report, self.k),
-            other => Err(wrong_shape("item-set", &other, self.report_len())),
-        }
-    }
-
-    /// Batch fold: validates every report (width, domain, distinctness,
-    /// pinned cardinality) before any bucket moves, then applies the
-    /// member increments — a batch containing any invalid report counts
-    /// nothing.
+    /// Item-set batch: validates every report (width, domain,
+    /// distinctness, pinned cardinality) before any bucket moves, then
+    /// applies the member increments.
     ///
     /// Distinctness is checked against an epoch-stamped scratch row shared
     /// by the whole batch, replacing the per-report sort-and-scan of
     /// [`Report::validate`] with one `O(k)` pass and no per-report
     /// allocation — the same errors, amortized over the batch.
-    fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
-        let m = self.report_len();
+    fn fold_item_sets(&mut self, reports: &[Report<'_>]) -> Result<()> {
+        let (m, k) = (self.report_len(), self.shape.param());
         let mut stamp = vec![0u32; m];
         let mut epoch = 0u32;
         for report in reports {
             let items = match report {
                 Report::ItemSet(items) => *items,
                 Report::Bits(_) => {
-                    report.validate(m, self.k)?;
+                    report.validate(m, k)?;
                     continue;
                 }
-                other => return Err(wrong_shape("item-set", other, m)),
+                other => return Err(self.wrong_shape(other)),
             };
             if items.is_empty() {
                 return Err(Error::Empty {
                     what: "item-set report".into(),
                 });
             }
-            if self.k > 0 && items.len() != self.k {
+            if k > 0 && items.len() != k {
                 return Err(Error::DimensionMismatch {
                     what: "item-set report cardinality".into(),
-                    expected: self.k,
+                    expected: k,
                     actual: items.len(),
                 });
             }
@@ -687,26 +365,71 @@ impl ReportAccumulator for ItemSetReportAccumulator {
         Ok(())
     }
 
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
+    /// Adds another accumulator's state (the shard-merge step).
+    ///
+    /// # Errors
+    /// Returns an error if the shapes, widths, hash ranges or pinned
+    /// cardinalities differ — the folds would disagree.
+    pub fn merge_from(&mut self, other: &Self) -> Result<()> {
+        if std::mem::discriminant(&self.shape) != std::mem::discriminant(&other.shape) {
+            return Err(Error::ParameterOrdering {
+                detail: format!(
+                    "cannot merge accumulators of different shapes ({:?} vs {:?})",
+                    self.shape, other.shape
+                ),
+            });
+        }
+        check_width(
+            "accumulator shape parameter",
+            self.shape.param(),
+            other.shape.param(),
+        )?;
+        self.absorb(&other.inner)
+    }
+
+    /// Adds pre-folded counts (the batch pipeline's per-chunk
+    /// [`CountAccumulator`]) in one step.
+    ///
+    /// # Errors
+    /// Returns an error if the widths differ.
+    pub fn absorb(&mut self, counts: &CountAccumulator) -> Result<()> {
         check_width(
             "accumulator merge width",
             self.report_len(),
-            other.report_len(),
+            counts.counts().len(),
         )?;
-        check_width("accumulator item-set cardinality", self.k, other.k)?;
-        self.inner.merge(&other.inner);
+        self.inner.merge(counts);
         Ok(())
     }
 
-    fn snapshot(&self) -> AccumulatorSnapshot {
+    /// Freezes the current counts into a snapshot for estimation or
+    /// checkpointing.
+    pub fn snapshot(&self) -> AccumulatorSnapshot {
         self.inner.snapshot()
     }
 
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        add_inner_counts(&self.inner, out)
+    /// Adds this accumulator's per-bucket counts into `out` and returns
+    /// its user count — the allocation-free half of [`Self::snapshot`].
+    /// A caller merging many shards sums them all into one preallocated
+    /// buffer in a single pass instead of allocating an intermediate
+    /// snapshot per shard and merging pairwise.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != self.report_len()`.
+    pub fn add_counts_into(&self, out: &mut [u64]) -> u64 {
+        assert_eq!(out.len(), self.report_len(), "count buffer width mismatch");
+        for (o, &c) in out.iter_mut().zip(self.inner.counts()) {
+            *o += c;
+        }
+        self.inner.num_users()
     }
 
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
+    /// Replaces the state with checkpointed counts (restart recovery).
+    ///
+    /// # Errors
+    /// Returns an error if the snapshot width differs from
+    /// [`Self::report_len`].
+    pub fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
         check_width(
             "restored snapshot width",
             self.report_len(),
@@ -717,167 +440,32 @@ impl ReportAccumulator for ItemSetReportAccumulator {
     }
 }
 
-/// Shape-dispatching accumulator: wraps the matching shape-specific
-/// accumulator for any [`ReportShape`], so servers (the CLI's `ingest`, an
-/// ingestion service) pick their sink from
-/// [`idldp_core::mechanism::Mechanism::report_shape`] without a
-/// per-mechanism `match`.
-///
-/// # Examples
-/// ```
-/// use idldp_core::budget::Epsilon;
-/// use idldp_core::mechanism::Mechanism;
-/// use idldp_core::olh::OptimalLocalHashing;
-/// use idldp_stream::{Report, ReportAccumulator, ShapedAccumulator};
-///
-/// let olh = OptimalLocalHashing::new(Epsilon::new(1.0).unwrap(), 16).unwrap();
-/// let mut acc = ShapedAccumulator::for_mechanism(&olh);
-/// acc.accumulate(Report::Hashed { seed: 7, value: 1 }).unwrap();
-/// assert_eq!(acc.num_users(), 1);
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShapedAccumulator {
-    /// Bit-vector reports ([`ReportShape::Bits`]).
-    Bits(BitReportAccumulator),
-    /// Categorical reports ([`ReportShape::Value`]).
-    Value(OneHotReportAccumulator),
-    /// Hashed reports ([`ReportShape::Hashed`]).
-    Hashed(HashedReportAccumulator),
-    /// Item-set reports ([`ReportShape::ItemSet`]).
-    ItemSet(ItemSetReportAccumulator),
-}
-
-impl ShapedAccumulator {
-    /// The accumulator matching `shape` over `report_len` buckets.
-    ///
-    /// A pinned [`ReportShape::ItemSet`] cardinality carries through: the
-    /// item-set accumulator then refuses wrong-sized sets.
-    ///
-    /// # Panics
-    /// Panics if `report_len == 0`, a hashed shape has `range < 2`, or an
-    /// item-set shape has `k >= report_len`.
-    pub fn for_shape(shape: ReportShape, report_len: usize) -> Self {
-        match shape {
-            ReportShape::Bits => Self::Bits(BitReportAccumulator::new(report_len)),
-            ReportShape::Value => Self::Value(OneHotReportAccumulator::new(report_len)),
-            ReportShape::Hashed { range } => {
-                Self::Hashed(HashedReportAccumulator::new(report_len, range))
-            }
-            ReportShape::ItemSet { k } => {
-                Self::ItemSet(ItemSetReportAccumulator::with_cardinality(report_len, k))
-            }
-        }
-    }
-
-    /// The accumulator matching a mechanism's declared shape and width.
-    pub fn for_mechanism(mechanism: &dyn idldp_core::mechanism::Mechanism) -> Self {
-        Self::for_shape(mechanism.report_shape(), mechanism.report_len())
-    }
-
-    /// The shape this accumulator ingests.
-    pub fn shape(&self) -> ReportShape {
-        match self {
-            Self::Bits(_) => ReportShape::Bits,
-            Self::Value(_) => ReportShape::Value,
-            Self::Hashed(h) => ReportShape::Hashed {
-                range: h.hash_range(),
-            },
-            Self::ItemSet(a) => ReportShape::ItemSet { k: a.cardinality() },
-        }
-    }
-}
-
-impl ReportAccumulator for ShapedAccumulator {
-    fn report_len(&self) -> usize {
-        match self {
-            Self::Bits(a) => a.report_len(),
-            Self::Value(a) => a.report_len(),
-            Self::Hashed(a) => a.report_len(),
-            Self::ItemSet(a) => a.report_len(),
-        }
-    }
-
-    fn num_users(&self) -> u64 {
-        match self {
-            Self::Bits(a) => a.num_users(),
-            Self::Value(a) => a.num_users(),
-            Self::Hashed(a) => a.num_users(),
-            Self::ItemSet(a) => a.num_users(),
-        }
-    }
-
-    fn accumulate(&mut self, report: Report<'_>) -> Result<()> {
-        match self {
-            Self::Bits(a) => a.accumulate(report),
-            Self::Value(a) => a.accumulate(report),
-            Self::Hashed(a) => a.accumulate(report),
-            Self::ItemSet(a) => a.accumulate(report),
-        }
-    }
-
-    fn accumulate_batch(&mut self, reports: &[Report<'_>]) -> Result<()> {
-        match self {
-            Self::Bits(a) => a.accumulate_batch(reports),
-            Self::Value(a) => a.accumulate_batch(reports),
-            Self::Hashed(a) => a.accumulate_batch(reports),
-            Self::ItemSet(a) => a.accumulate_batch(reports),
-        }
-    }
-
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        match (self, other) {
-            (Self::Bits(a), Self::Bits(b)) => a.merge_from(b),
-            (Self::Value(a), Self::Value(b)) => a.merge_from(b),
-            (Self::Hashed(a), Self::Hashed(b)) => a.merge_from(b),
-            (Self::ItemSet(a), Self::ItemSet(b)) => a.merge_from(b),
-            (me, other) => Err(Error::ParameterOrdering {
-                detail: format!(
-                    "cannot merge accumulators of different shapes ({:?} vs {:?})",
-                    me.shape(),
-                    other.shape()
-                ),
-            }),
-        }
-    }
-
-    fn snapshot(&self) -> AccumulatorSnapshot {
-        match self {
-            Self::Bits(a) => a.snapshot(),
-            Self::Value(a) => a.snapshot(),
-            Self::Hashed(a) => a.snapshot(),
-            Self::ItemSet(a) => a.snapshot(),
-        }
-    }
-
-    fn add_counts_into(&self, out: &mut [u64]) -> u64 {
-        match self {
-            Self::Bits(a) => a.add_counts_into(out),
-            Self::Value(a) => a.add_counts_into(out),
-            Self::Hashed(a) => a.add_counts_into(out),
-            Self::ItemSet(a) => a.add_counts_into(out),
-        }
-    }
-
-    fn restore(&mut self, snapshot: &AccumulatorSnapshot) -> Result<()> {
-        match self {
-            Self::Bits(a) => a.restore(snapshot),
-            Self::Value(a) => a.restore(snapshot),
-            Self::Hashed(a) => a.restore(snapshot),
-            Self::ItemSet(a) => a.restore(snapshot),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use idldp_core::report::{hash_bucket, ReportData};
 
+    fn bits(m: usize) -> ShapedAccumulator {
+        ShapedAccumulator::for_shape(ReportShape::Bits, m)
+    }
+
+    fn values(m: usize) -> ShapedAccumulator {
+        ShapedAccumulator::for_shape(ReportShape::Value, m)
+    }
+
+    fn hashed(m: usize, range: usize) -> ShapedAccumulator {
+        ShapedAccumulator::for_shape(ReportShape::Hashed { range }, m)
+    }
+
+    fn sets(m: usize, k: usize) -> ShapedAccumulator {
+        ShapedAccumulator::for_shape(ReportShape::ItemSet { k }, m)
+    }
+
     #[test]
     fn bit_accumulator_counts_and_merges() {
-        let mut a = BitReportAccumulator::new(3);
-        let mut b = BitReportAccumulator::new(3);
-        let mut seq = BitReportAccumulator::new(3);
+        let mut a = bits(3);
+        let mut b = bits(3);
+        let mut seq = bits(3);
         let reports: [[u8; 3]; 4] = [[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1]];
         for (i, r) in reports.iter().enumerate() {
             let target = if i % 2 == 0 { &mut a } else { &mut b };
@@ -892,19 +480,19 @@ mod tests {
 
     #[test]
     fn bit_accumulator_rejects_bad_shapes() {
-        let mut a = BitReportAccumulator::new(3);
+        let mut a = bits(3);
         assert!(a.accumulate(Report::Bits(&[1, 0])).is_err());
         assert!(a.accumulate(Report::Value(1)).is_err());
         assert!(a.accumulate(Report::Hashed { seed: 1, value: 0 }).is_err());
         assert!(a.accumulate(Report::ItemSet(&[0])).is_err());
-        let b = BitReportAccumulator::new(4);
+        let b = bits(4);
         assert!(a.merge_from(&b).is_err());
         assert_eq!(a.num_users(), 0, "failed accumulations count nothing");
     }
 
     #[test]
     fn one_hot_accumulator_accepts_both_shapes() {
-        let mut a = OneHotReportAccumulator::new(4);
+        let mut a = values(4);
         a.accumulate(Report::Value(2)).unwrap();
         a.accumulate(Report::Bits(&[0, 0, 1, 0])).unwrap();
         a.accumulate(Report::Bits(&[1, 0, 0, 0])).unwrap();
@@ -915,7 +503,7 @@ mod tests {
 
     #[test]
     fn one_hot_accumulator_rejects_invalid() {
-        let mut a = OneHotReportAccumulator::new(3);
+        let mut a = values(3);
         assert!(a.accumulate(Report::Value(3)).is_err());
         assert!(a.accumulate(Report::Bits(&[0, 0, 0])).is_err());
         assert!(a.accumulate(Report::Bits(&[1, 1, 0])).is_err());
@@ -927,8 +515,8 @@ mod tests {
     #[test]
     fn hashed_accumulator_folds_through_shared_hash() {
         let (m, g) = (6usize, 3usize);
-        let mut a = HashedReportAccumulator::new(m, g);
-        assert_eq!(a.hash_range(), g);
+        let mut a = hashed(m, g);
+        assert_eq!(a.shape().param(), g);
         let (seed, value) = (99u64, 1usize);
         a.accumulate(Report::Hashed { seed, value }).unwrap();
         let snap = a.snapshot();
@@ -943,27 +531,27 @@ mod tests {
         for (v, b) in bits.iter_mut().enumerate() {
             *b = u8::from(hash_bucket(seed, v, g) == value);
         }
-        let mut via_bits = HashedReportAccumulator::new(m, g);
+        let mut via_bits = hashed(m, g);
         via_bits.accumulate(Report::Bits(&bits)).unwrap();
         assert_eq!(via_bits.snapshot(), snap);
     }
 
     #[test]
     fn hashed_accumulator_rejects_invalid() {
-        let mut a = HashedReportAccumulator::new(4, 3);
+        let mut a = hashed(4, 3);
         assert!(a.accumulate(Report::Hashed { seed: 1, value: 3 }).is_err());
         assert!(a.accumulate(Report::Value(1)).is_err());
         assert!(a.accumulate(Report::ItemSet(&[0])).is_err());
         assert!(a.accumulate(Report::Bits(&[1, 0])).is_err());
         assert_eq!(a.num_users(), 0);
         // Merging across hash ranges is refused (folds would disagree).
-        let b = HashedReportAccumulator::new(4, 5);
+        let b = hashed(4, 5);
         assert!(a.merge_from(&b).is_err());
     }
 
     #[test]
     fn item_set_accumulator_counts_members_once() {
-        let mut a = ItemSetReportAccumulator::new(5);
+        let mut a = sets(5, 0);
         a.accumulate(Report::ItemSet(&[0, 3])).unwrap();
         a.accumulate(Report::ItemSet(&[3])).unwrap();
         a.accumulate(Report::Bits(&[0, 1, 0, 1, 0])).unwrap();
@@ -974,7 +562,7 @@ mod tests {
 
     #[test]
     fn item_set_accumulator_rejects_invalid() {
-        let mut a = ItemSetReportAccumulator::new(3);
+        let mut a = sets(3, 0);
         assert!(a.accumulate(Report::ItemSet(&[3])).is_err());
         assert!(a.accumulate(Report::ItemSet(&[1, 1])).is_err());
         assert!(a.accumulate(Report::Value(0)).is_err());
@@ -1024,14 +612,14 @@ mod tests {
 
     #[test]
     fn item_set_accumulator_pins_cardinality() {
-        let mut a = ItemSetReportAccumulator::with_cardinality(5, 2);
-        assert_eq!(a.cardinality(), 2);
+        let mut a = sets(5, 2);
+        assert_eq!(a.shape().param(), 2);
         a.accumulate(Report::ItemSet(&[0, 3])).unwrap();
         assert!(a.accumulate(Report::ItemSet(&[1])).is_err());
         assert!(a.accumulate(Report::ItemSet(&[1, 2, 4])).is_err());
         assert_eq!(a.num_users(), 1, "wrong-sized sets count nothing");
         // Merging across pinned cardinalities is refused.
-        let other = ItemSetReportAccumulator::with_cardinality(5, 3);
+        let other = sets(5, 3);
         assert!(a.merge_from(&other).is_err());
         // The shape round-trips the pinned k.
         let shaped = ShapedAccumulator::for_shape(ReportShape::ItemSet { k: 2 }, 5);
@@ -1049,22 +637,7 @@ mod tests {
             .collect();
         let bit_reports: Vec<Report<'_>> = bit_rows.iter().map(|r| Report::Bits(r)).collect();
 
-        let mut seq = BitReportAccumulator::new(m);
-        for r in &bit_reports {
-            seq.accumulate(*r).unwrap();
-        }
-        let mut batched = BitReportAccumulator::new(m);
-        batched.accumulate_batch(&bit_reports).unwrap();
-        assert_eq!(batched.snapshot(), seq.snapshot());
-
-        let mut seq = OneHotReportAccumulator::new(m);
-        let mut batched = OneHotReportAccumulator::new(m);
-        let values: Vec<Report<'_>> = (0..40).map(|v| Report::Value(v % m)).collect();
-        for r in &values {
-            seq.accumulate(*r).unwrap();
-        }
-        batched.accumulate_batch(&values).unwrap();
-        assert_eq!(batched.snapshot(), seq.snapshot());
+        let value_reports: Vec<Report<'_>> = (0..40).map(|v| Report::Value(v % m)).collect();
 
         // Hashed: fresh, distinct seeds (what real clients send, one per
         // user) alongside repeated ones, plus a mixed-in pre-folded bits
@@ -1075,7 +648,7 @@ mod tests {
             seed: (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             value: (i % g as u64) as usize,
         });
-        let hashed: Vec<Report<'_>> = (0..300u64)
+        let hashed_reports: Vec<Report<'_>> = (0..300u64)
             .map(|i| Report::Hashed {
                 seed: i % 7,
                 value: (i % g as u64) as usize,
@@ -1083,87 +656,104 @@ mod tests {
             .chain(fresh)
             .chain(std::iter::once(Report::Bits(&bit_rows[0])))
             .collect();
-        let mut seq = HashedReportAccumulator::new(m, g);
-        for r in &hashed {
-            seq.accumulate(*r).unwrap();
-        }
-        let mut batched = HashedReportAccumulator::new(m, g);
-        batched.accumulate_batch(&hashed).unwrap();
-        assert_eq!(batched.snapshot(), seq.snapshot());
 
-        let sets: Vec<Vec<usize>> = (0..30usize).map(|i| vec![i % m, (i + 3) % m]).collect();
-        let set_reports: Vec<Report<'_>> = sets
+        let set_rows: Vec<Vec<usize>> = (0..30usize).map(|i| vec![i % m, (i + 3) % m]).collect();
+        let set_reports: Vec<Report<'_>> = set_rows
             .iter()
             .map(|s| Report::ItemSet(s))
             .chain(std::iter::once(Report::Bits(&bit_rows[1])))
             .collect();
-        let mut seq = ItemSetReportAccumulator::new(m);
-        for r in &set_reports {
-            seq.accumulate(*r).unwrap();
+
+        for (proto, reports) in [
+            (bits(m), bit_reports),
+            (values(m), value_reports),
+            (hashed(m, g), hashed_reports),
+            (sets(m, 0), set_reports),
+        ] {
+            let mut seq = proto.clone();
+            for r in &reports {
+                seq.accumulate(*r).unwrap();
+            }
+            let mut batched = proto;
+            batched.accumulate_batch(&reports).unwrap();
+            assert_eq!(batched, seq, "{:?}", seq.shape());
         }
-        let mut batched = ItemSetReportAccumulator::new(m);
-        batched.accumulate_batch(&set_reports).unwrap();
-        assert_eq!(batched.snapshot(), seq.snapshot());
     }
 
     #[test]
     fn batch_with_any_invalid_report_counts_nothing() {
         // Atomicity: one bad report anywhere in the batch leaves the
-        // accumulator untouched — no partial fold, no user counted.
-        let good = [1u8, 0, 1];
-        let bad_width = [1u8, 0];
-        let mut bits = BitReportAccumulator::new(3);
-        assert!(bits
-            .accumulate_batch(&[
-                Report::Bits(&good),
-                Report::Bits(&good),
-                Report::Bits(&bad_width),
-            ])
-            .is_err());
-        assert_eq!(bits.num_users(), 0);
-        assert_eq!(bits.snapshot().counts(), &[0, 0, 0]);
+        // accumulator untouched — no partial fold, no user counted. Every
+        // shape meets its own malformed tails, then a tail in each wire
+        // variant it refuses.
+        let natives = [
+            ReportData::Bits(vec![1, 0, 1]),
+            ReportData::Value(1),
+            ReportData::Hashed { seed: 1, value: 0 },
+            ReportData::ItemSet(vec![0, 1]),
+        ];
+        let cases = [
+            (
+                bits(3),
+                vec![Report::Bits(&[1, 0]), Report::Bits(&[1, 2, 0])],
+            ),
+            (values(3), vec![Report::Value(3), Report::Bits(&[1, 1, 0])]),
+            (hashed(3, 2), vec![Report::Hashed { seed: 2, value: 2 }]),
+            (sets(3, 2), vec![Report::ItemSet(&[2])]),
+        ];
+        for (i, (proto, mut tails)) in cases.into_iter().enumerate() {
+            let good = natives[i].as_report();
+            tails.extend(
+                natives[1..]
+                    .iter()
+                    .filter(|d| **d != natives[i])
+                    .map(ReportData::as_report),
+            );
+            for tail in tails {
+                let mut acc = proto.clone();
+                assert!(
+                    acc.accumulate_batch(&[good, good, tail]).is_err(),
+                    "{:?} took {tail:?}",
+                    acc.shape()
+                );
+                assert_eq!(acc.num_users(), 0);
+                assert_eq!(acc.snapshot().counts(), &[0, 0, 0]);
+            }
+        }
+    }
 
-        let mut one_hot = OneHotReportAccumulator::new(3);
-        assert!(one_hot
-            .accumulate_batch(&[Report::Value(1), Report::Value(3)])
-            .is_err());
-        assert_eq!(one_hot.num_users(), 0);
-
-        let mut hashed = HashedReportAccumulator::new(3, 2);
-        assert!(hashed
-            .accumulate_batch(&[
-                Report::Hashed { seed: 1, value: 0 },
-                Report::Hashed { seed: 2, value: 2 },
-            ])
-            .is_err());
-        assert_eq!(hashed.num_users(), 0);
-        assert_eq!(hashed.snapshot().counts(), &[0, 0, 0]);
-
-        let mut sets = ItemSetReportAccumulator::with_cardinality(3, 2);
-        assert!(sets
-            .accumulate_batch(&[Report::ItemSet(&[0, 1]), Report::ItemSet(&[2])])
-            .is_err());
-        assert_eq!(sets.num_users(), 0);
-        assert_eq!(sets.snapshot().counts(), &[0, 0, 0]);
+    #[test]
+    fn single_bit_report_slots_must_be_zero_or_one() {
+        // A slot of 2 is refused one report at a time exactly as in a
+        // batch, for every shape that takes folded bit vectors.
+        let bad = Report::Bits(&[2, 0, 1]);
+        for proto in [bits(3), values(3), hashed(3, 2), sets(3, 0)] {
+            let mut acc = proto.clone();
+            assert!(acc.accumulate(bad).is_err(), "{:?}", proto.shape());
+            assert_eq!(acc, proto, "nothing counted");
+            let sharded = crate::ShardedAccumulator::new(proto.clone(), 2);
+            assert!(sharded.push(bad).is_err(), "{:?}", proto.shape());
+            assert_eq!(sharded.snapshot(), proto.snapshot());
+        }
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let mut acc = ShapedAccumulator::for_shape(ReportShape::Bits, 4);
+        let mut acc = bits(4);
         acc.accumulate_batch(&[]).unwrap();
         assert_eq!(acc.num_users(), 0);
     }
 
     #[test]
     fn restore_round_trips() {
-        let mut a = OneHotReportAccumulator::new(3);
+        let mut a = values(3);
         a.accumulate(Report::Value(1)).unwrap();
         a.accumulate(Report::Value(1)).unwrap();
         let snap = a.snapshot();
-        let mut fresh = OneHotReportAccumulator::new(3);
+        let mut fresh = values(3);
         fresh.restore(&snap).unwrap();
         assert_eq!(fresh, a);
-        let mut bits = BitReportAccumulator::new(3);
+        let mut bits = bits(3);
         bits.restore(&snap).unwrap();
         assert_eq!(bits.snapshot(), snap);
         assert!(bits
@@ -1176,9 +766,10 @@ mod tests {
         let mut batch = CountAccumulator::new(2);
         batch.accumulate_report(&[1, 0]).unwrap();
         batch.accumulate_report(&[1, 1]).unwrap();
-        let mut acc = BitReportAccumulator::new(2);
+        let mut acc = bits(2);
         acc.accumulate(Report::Bits(&[0, 1])).unwrap();
-        acc.absorb_counts(&batch);
+        acc.absorb(&batch).unwrap();
+        assert!(acc.absorb(&CountAccumulator::new(3)).is_err());
         assert_eq!(acc.snapshot().counts(), &[2, 2]);
         assert_eq!(acc.num_users(), 3);
     }

@@ -4,15 +4,12 @@
 //! a real ID-LDP deployment ingests perturbed reports *continuously*. This
 //! crate is that online layer:
 //!
-//! * [`accumulator`] — [`ReportAccumulator`]: mergeable, `Send` per-shard
-//!   count state, with one implementation per wire shape
-//!   ([`BitReportAccumulator`] for the unary-encoding family,
-//!   [`OneHotReportAccumulator`] for GRR/matrix/PS value reports,
-//!   [`HashedReportAccumulator`] for OLH `(seed, value)` pairs folded
-//!   through the shared hash, [`ItemSetReportAccumulator`] for
-//!   subset-selection item sets) plus the shape-dispatching
-//!   [`ShapedAccumulator`] picked from
-//!   [`idldp_core::mechanism::Mechanism::report_shape`].
+//! * [`accumulator`] — [`ShapedAccumulator`]: mergeable, `Send` per-shard
+//!   count state for one wire shape, picked from
+//!   [`idldp_core::mechanism::Mechanism::report_shape`] (bit vectors for
+//!   the unary-encoding family, values for GRR/matrix/PS, OLH
+//!   `(seed, value)` pairs folded through the shared hash,
+//!   subset-selection item sets), with an atomic batched fold.
 //! * [`sharded`] — [`ShardedAccumulator`]: stripes the state across `N`
 //!   independently locked shards with round-robin fan-out and exact
 //!   merge-on-demand snapshots.
@@ -36,11 +33,11 @@
 //! use idldp_core::budget::Epsilon;
 //! use idldp_core::grr::GeneralizedRandomizedResponse;
 //! use idldp_core::mechanism::Mechanism;
-//! use idldp_stream::{OneHotReportAccumulator, Report, ShardedAccumulator};
+//! use idldp_stream::{Report, ShapedAccumulator, ShardedAccumulator};
 //!
 //! // A GRR server accumulating categorical value reports over 4 shards.
 //! let grr = GeneralizedRandomizedResponse::new(Epsilon::new(2.0).unwrap(), 5).unwrap();
-//! let sink = ShardedAccumulator::new(OneHotReportAccumulator::new(grr.report_len()), 4);
+//! let sink = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(&grr), 4);
 //! for value in [0usize, 3, 3, 1, 4, 3] {
 //!     sink.push(Report::Value(value)).unwrap();
 //! }
@@ -59,10 +56,7 @@ pub mod sharded;
 pub mod source;
 pub mod topk;
 
-pub use accumulator::{
-    BitReportAccumulator, HashedReportAccumulator, ItemSetReportAccumulator,
-    OneHotReportAccumulator, Report, ReportAccumulator, ShapedAccumulator,
-};
+pub use accumulator::{Report, ShapedAccumulator};
 pub use sharded::{ShardedAccumulator, DEFAULT_SHARDS};
 pub use source::{chunk_ranges, SeededReportStream, DEFAULT_CHUNK_SIZE};
 pub use topk::{Candidate, HeavyHitterTracker, TrackerMode, DEFAULT_CADENCE};

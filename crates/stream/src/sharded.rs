@@ -1,4 +1,4 @@
-//! Striped sharding over any [`ReportAccumulator`].
+//! Striped sharding over [`ShapedAccumulator`]s.
 //!
 //! A single mutex around one accumulator would serialize every ingestion
 //! thread; [`ShardedAccumulator`] stripes the state across `N` shards, each
@@ -9,8 +9,9 @@
 //! and every interleaving of writers. The streaming conformance suite
 //! asserts exactly that against the batch pipeline for all eight mechanisms.
 
-use crate::accumulator::{Report, ReportAccumulator};
+use crate::accumulator::{Report, ShapedAccumulator};
 use idldp_core::error::{Error, Result};
+use idldp_core::mechanism::CountAccumulator;
 use idldp_core::snapshot::AccumulatorSnapshot;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,10 +25,12 @@ pub const DEFAULT_SHARDS: usize = 8;
 ///
 /// # Examples
 /// ```
-/// use idldp_stream::{Report, ShardedAccumulator, OneHotReportAccumulator};
+/// use idldp_core::report::ReportShape;
+/// use idldp_stream::{Report, ShapedAccumulator, ShardedAccumulator};
 ///
 /// // Four GRR-style categorical buckets across 3 shards.
-/// let sharded = ShardedAccumulator::new(OneHotReportAccumulator::new(4), 3);
+/// let value = ShapedAccumulator::for_shape(ReportShape::Value, 4);
+/// let sharded = ShardedAccumulator::new(value, 3);
 /// for value in [0, 2, 2, 3, 1, 2] {
 ///     sharded.push(Report::Value(value)).unwrap();
 /// }
@@ -35,19 +38,19 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// assert_eq!(snapshot.counts(), &[1, 1, 3, 1]);
 /// assert_eq!(snapshot.num_users(), 6);
 /// ```
-pub struct ShardedAccumulator<A> {
-    shards: Vec<Mutex<A>>,
+pub struct ShardedAccumulator {
+    shards: Vec<Mutex<ShapedAccumulator>>,
     next: AtomicUsize,
 }
 
-impl<A: ReportAccumulator + Clone> ShardedAccumulator<A> {
+impl ShardedAccumulator {
     /// Creates `num_shards` shards, each a clone of the (empty)
     /// `prototype`.
     ///
     /// # Panics
     /// Panics if `num_shards == 0` or the prototype already holds users
     /// (cloning non-empty state into every shard would multiply it).
-    pub fn new(prototype: A, num_shards: usize) -> Self {
+    pub fn new(prototype: ShapedAccumulator, num_shards: usize) -> Self {
         assert!(num_shards > 0, "need at least one shard");
         assert_eq!(
             prototype.num_users(),
@@ -61,9 +64,7 @@ impl<A: ReportAccumulator + Clone> ShardedAccumulator<A> {
             next: AtomicUsize::new(0),
         }
     }
-}
 
-impl<A: ReportAccumulator> ShardedAccumulator<A> {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -93,7 +94,7 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
 
     /// Folds a whole batch of reports (one transport frame, one stream
     /// chunk) into a single shard under one lock acquisition, through the
-    /// accumulator's atomic [`ReportAccumulator::accumulate_batch`] — the
+    /// accumulator's atomic [`ShapedAccumulator::accumulate_batch`] — the
     /// ingestion fast path: one frame costs one cursor bump, one lock, and
     /// one batched fold instead of per-report round trips.
     ///
@@ -130,15 +131,15 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
         slot.lock().accumulate(report)
     }
 
-    /// Merges a locally accumulated `A` (e.g. a worker's chunk state) into
+    /// Adds locally folded counts (e.g. a batch worker's chunk state) into
     /// the next shard in one lock acquisition — the batch-sized sibling of
     /// [`Self::push`].
     ///
     /// # Errors
     /// Returns an error if the widths differ.
-    pub fn absorb(&self, local: &A) -> Result<()> {
+    pub fn absorb(&self, local: &CountAccumulator) -> Result<()> {
         let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[shard].lock().merge_from(local)
+        self.shards[shard].lock().absorb(local)
     }
 
     /// Freezes the merged view of all shards — counts and user totals are
@@ -146,7 +147,7 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
     ///
     /// One preallocated buffer, one pass: each shard adds its counts into
     /// the same vector under its own lock
-    /// ([`ReportAccumulator::add_counts_into`]), instead of allocating an
+    /// ([`ShapedAccumulator::add_counts_into`]), instead of allocating an
     /// intermediate snapshot per shard and merging pairwise.
     pub fn snapshot(&self) -> AccumulatorSnapshot {
         let mut counts = vec![0u64; self.report_len()];
@@ -159,60 +160,13 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
 
     /// Freezes every shard separately — one snapshot per shard, no merge.
     /// The exact-merge law guarantees the merged view of the parts equals
-    /// [`Self::snapshot`] of the whole, and [`Self::restore_shards`] takes
-    /// the parts back into any shard count.
+    /// [`Self::snapshot`] of the whole.
     pub fn snapshot_shards(&self) -> Vec<AccumulatorSnapshot> {
         self.shards.iter().map(|s| s.lock().snapshot()).collect()
     }
 
-    /// Restores per-shard checkpoint state into an **empty** sharding.
-    ///
-    /// The shard counts need not match the count at save time: snapshot
-    /// `j` lands in shard `j % num_shards` (colliding snapshots merge —
-    /// exact, by the merge law), so a checkpoint taken at any sharding
-    /// restores into any other, and recovery no longer funnels everything
-    /// through shard 0.
-    ///
-    /// # Errors
-    /// Returns an error if `snapshots` is empty, any width differs from
-    /// [`Self::report_len`], or any shard already holds users (restoring
-    /// over live counts would double-count).
-    pub fn restore_shards(&self, snapshots: &[AccumulatorSnapshot]) -> Result<()> {
-        if snapshots.is_empty() {
-            return Err(Error::Empty {
-                what: "restored shard snapshots".into(),
-            });
-        }
-        let width = self.report_len();
-        if let Some(bad) = snapshots.iter().find(|s| s.report_len() != width) {
-            return Err(Error::DimensionMismatch {
-                what: "restored snapshot width".into(),
-                expected: width,
-                actual: bad.report_len(),
-            });
-        }
-        if self.num_users() != 0 {
-            return Err(Error::ParameterOrdering {
-                detail: "restore requires empty shards (counts already present)".into(),
-            });
-        }
-        let n = self.shards.len();
-        for (j, group) in self.shards.iter().enumerate().take(snapshots.len()) {
-            let mut shard = group.lock();
-            let mut merged: Option<AccumulatorSnapshot> = None;
-            for snapshot in snapshots.iter().skip(j).step_by(n) {
-                match merged.as_mut() {
-                    None => merged = Some(snapshot.clone()),
-                    Some(m) => m.merge(snapshot).expect("widths validated above"),
-                }
-            }
-            shard.restore(&merged.expect("j < snapshots.len() yields at least one"))?;
-        }
-        Ok(())
-    }
-
     /// Consumes the sharding, returning one fully merged accumulator.
-    pub fn into_merged(self) -> A {
+    pub fn into_merged(self) -> ShapedAccumulator {
         let mut shards = self.shards.into_iter().map(Mutex::into_inner);
         let mut merged = shards.next().expect("at least one shard");
         for shard in shards {
@@ -245,11 +199,15 @@ impl<A: ReportAccumulator> ShardedAccumulator<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accumulator::BitReportAccumulator;
+    use idldp_core::report::ReportShape;
+
+    fn bits(m: usize) -> ShapedAccumulator {
+        ShapedAccumulator::for_shape(ReportShape::Bits, m)
+    }
 
     #[test]
     fn round_robin_covers_all_shards() {
-        let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 4);
+        let sharded = ShardedAccumulator::new(bits(2), 4);
         for _ in 0..8 {
             sharded.push(Report::Bits(&[1, 0])).unwrap();
         }
@@ -270,7 +228,7 @@ mod tests {
             .collect();
         let mut reference: Option<AccumulatorSnapshot> = None;
         for shards in [1, 2, 3, 7, 100, 128] {
-            let sharded = ShardedAccumulator::new(BitReportAccumulator::new(3), shards);
+            let sharded = ShardedAccumulator::new(bits(3), shards);
             for r in &reports {
                 sharded.push(Report::Bits(r)).unwrap();
             }
@@ -285,7 +243,7 @@ mod tests {
 
     #[test]
     fn push_to_and_errors() {
-        let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 2);
+        let sharded = ShardedAccumulator::new(bits(2), 2);
         sharded.push_to(1, Report::Bits(&[0, 1])).unwrap();
         assert!(sharded.push_to(2, Report::Bits(&[0, 1])).is_err());
         assert!(sharded.push(Report::Bits(&[1])).is_err());
@@ -299,11 +257,11 @@ mod tests {
             .collect();
         let reports: Vec<Report<'_>> = rows.iter().map(|r| Report::Bits(r)).collect();
 
-        let per_report = ShardedAccumulator::new(BitReportAccumulator::new(3), 4);
+        let per_report = ShardedAccumulator::new(bits(3), 4);
         for r in &reports {
             per_report.push(*r).unwrap();
         }
-        let batched = ShardedAccumulator::new(BitReportAccumulator::new(3), 4);
+        let batched = ShardedAccumulator::new(bits(3), 4);
         for chunk in reports.chunks(7) {
             batched.push_batch(chunk).unwrap();
         }
@@ -321,21 +279,24 @@ mod tests {
 
     #[test]
     fn absorb_merges_worker_state() {
-        let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 3);
-        let mut local = BitReportAccumulator::new(2);
-        local.accumulate(Report::Bits(&[1, 1])).unwrap();
-        local.accumulate(Report::Bits(&[1, 0])).unwrap();
+        let sharded = ShardedAccumulator::new(bits(2), 3);
+        let mut local = CountAccumulator::new(2);
+        local.accumulate_report(&[1, 1]).unwrap();
+        local.accumulate_report(&[1, 0]).unwrap();
         sharded.absorb(&local).unwrap();
         sharded.push(Report::Bits(&[0, 1])).unwrap();
         let snap = sharded.snapshot();
         assert_eq!(snap.counts(), &[2, 2]);
         assert_eq!(snap.num_users(), 3);
+        assert!(sharded.absorb(&CountAccumulator::new(3)).is_err());
     }
 
     #[test]
     fn restore_then_continue() {
         let checkpoint = AccumulatorSnapshot::new(vec![5, 7], 12).unwrap();
-        let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 3);
+        let sharded = ShardedAccumulator::new(bits(2), 3);
+        let wrong = AccumulatorSnapshot::new(vec![1, 2, 3], 1).unwrap();
+        assert!(sharded.restore(&wrong).is_err(), "width mismatch");
         sharded.restore(&checkpoint).unwrap();
         sharded.push(Report::Bits(&[1, 0])).unwrap();
         let snap = sharded.snapshot();
@@ -347,19 +308,18 @@ mod tests {
 
     #[test]
     fn shard_snapshots_restore_across_any_shard_count() {
-        let source = ShardedAccumulator::new(BitReportAccumulator::new(3), 5);
+        let source = ShardedAccumulator::new(bits(3), 5);
         for i in 0..100u32 {
             let row = [(i % 2) as u8, ((i / 2) % 2) as u8, ((i / 4) % 2) as u8];
             source.push(Report::Bits(&row)).unwrap();
         }
         let want = source.snapshot();
-        let parts = source.snapshot_shards();
-        assert_eq!(parts.len(), 5);
-        // A 5-way split restores into 1, 3, 5, or 8 shards — merged views
-        // identical by the exact-merge law.
+        assert_eq!(source.snapshot_shards().len(), 5);
+        // A 5-shard snapshot restores into 1, 3, 5, or 8 shards — merged
+        // views identical by the exact-merge law.
         for shards in [1, 3, 5, 8] {
-            let target = ShardedAccumulator::new(BitReportAccumulator::new(3), shards);
-            target.restore_shards(&parts).unwrap();
+            let target = ShardedAccumulator::new(bits(3), shards);
+            target.restore(&want).unwrap();
             assert_eq!(target.snapshot(), want, "restore into {shards} shards");
             // The restored sharding keeps accepting reports.
             target.push(Report::Bits(&[1, 1, 1])).unwrap();
@@ -368,22 +328,8 @@ mod tests {
     }
 
     #[test]
-    fn restore_shards_rejects_bad_input() {
-        let target = ShardedAccumulator::new(BitReportAccumulator::new(2), 2);
-        assert!(target.restore_shards(&[]).is_err(), "empty snapshot list");
-        let wrong = AccumulatorSnapshot::new(vec![1, 2, 3], 1).unwrap();
-        assert!(target.restore_shards(&[wrong]).is_err(), "width mismatch");
-        target.push(Report::Bits(&[1, 0])).unwrap();
-        let ok = AccumulatorSnapshot::new(vec![1, 2], 3).unwrap();
-        assert!(
-            target.restore_shards(&[ok]).is_err(),
-            "live counts refuse a restore"
-        );
-    }
-
-    #[test]
     fn concurrent_pushes_are_exact() {
-        let sharded = ShardedAccumulator::new(BitReportAccumulator::new(2), 4);
+        let sharded = ShardedAccumulator::new(bits(2), 4);
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let sharded = &sharded;
@@ -403,6 +349,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
-        let _ = ShardedAccumulator::new(BitReportAccumulator::new(2), 0);
+        let _ = ShardedAccumulator::new(bits(2), 0);
     }
 }

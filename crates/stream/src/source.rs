@@ -16,7 +16,7 @@
 //! [`SeededReportStream::seek_to_user`]s past the users it already
 //! ingested, without replaying a single draw.
 
-use crate::accumulator::{Report, ReportAccumulator};
+use crate::accumulator::Report;
 use crate::sharded::ShardedAccumulator;
 use idldp_core::error::{Error, Result};
 use idldp_core::mechanism::{Input, InputBatch, Mechanism};
@@ -56,12 +56,12 @@ pub fn chunk_ranges(n: usize, chunk_size: usize) -> Vec<(u64, usize, usize)> {
 /// use idldp_core::budget::Epsilon;
 /// use idldp_core::idue::Idue;
 /// use idldp_core::mechanism::{InputBatch, Mechanism};
-/// use idldp_stream::{BitReportAccumulator, SeededReportStream, ShardedAccumulator};
+/// use idldp_stream::{SeededReportStream, ShapedAccumulator, ShardedAccumulator};
 ///
 /// let mechanism = Idue::oue(4, Epsilon::new(1.0).unwrap()).unwrap();
 /// let items: Vec<u32> = (0..3000).map(|i| (i % 4) as u32).collect();
 ///
-/// let sink = ShardedAccumulator::new(BitReportAccumulator::new(4), 3);
+/// let sink = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(&mechanism), 3);
 /// let mut stream = SeededReportStream::new(&mechanism, InputBatch::Items(&items), 7);
 /// while stream.ingest_chunk(&sink).unwrap() > 0 {
 ///     // After any chunk we can already serve calibrated estimates.
@@ -225,10 +225,7 @@ impl<'a> SeededReportStream<'a> {
     ///
     /// # Errors
     /// Same conditions as [`Self::next_chunk_with`].
-    pub fn ingest_chunk<A: ReportAccumulator>(
-        &mut self,
-        sink: &ShardedAccumulator<A>,
-    ) -> Result<usize> {
+    pub fn ingest_chunk(&mut self, sink: &ShardedAccumulator) -> Result<usize> {
         self.next_chunk_with(|report| sink.push(report))
     }
 
@@ -237,10 +234,7 @@ impl<'a> SeededReportStream<'a> {
     ///
     /// # Errors
     /// Same conditions as [`Self::next_chunk_with`].
-    pub fn ingest_all<A: ReportAccumulator>(
-        &mut self,
-        sink: &ShardedAccumulator<A>,
-    ) -> Result<usize> {
+    pub fn ingest_all(&mut self, sink: &ShardedAccumulator) -> Result<usize> {
         let mut total = 0;
         loop {
             let ingested = self.ingest_chunk(sink)?;
@@ -255,7 +249,7 @@ impl<'a> SeededReportStream<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accumulator::BitReportAccumulator;
+    use crate::accumulator::ShapedAccumulator;
     use idldp_core::budget::Epsilon;
     use idldp_core::idue::Idue;
 
@@ -279,7 +273,7 @@ mod tests {
         let mech = oue(5);
         let items: Vec<u32> = (0..700).map(|i| (i % 5) as u32).collect();
         let run = |seed| {
-            let sink = ShardedAccumulator::new(BitReportAccumulator::new(5), 2);
+            let sink = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(&mech), 2);
             let mut stream = SeededReportStream::new(&mech, InputBatch::Items(&items), seed)
                 .with_chunk_size(256);
             let mut chunks = vec![];
@@ -306,7 +300,7 @@ mod tests {
         let mech = oue(3);
         let items: Vec<u32> = (0..40).map(|i| (i % 3) as u32).collect();
         // Reference: full run, but only counting users >= 20.
-        let tail_sink = ShardedAccumulator::new(BitReportAccumulator::new(3), 1);
+        let tail_sink = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(&mech), 1);
         let mut full =
             SeededReportStream::new(&mech, InputBatch::Items(&items), 9).with_chunk_size(10);
         let mut seen = 0usize;
@@ -325,7 +319,7 @@ mod tests {
             }
         }
         // Seeked run over the same tail.
-        let seek_sink = ShardedAccumulator::new(BitReportAccumulator::new(3), 1);
+        let seek_sink = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(&mech), 1);
         let mut seeked =
             SeededReportStream::new(&mech, InputBatch::Items(&items), 9).with_chunk_size(10);
         seeked.seek_to_user(20).unwrap();
@@ -347,7 +341,7 @@ mod tests {
         use idldp_core::idue_ps::IduePs;
         let mech = IduePs::oue_ps(4, Epsilon::new(2.0).unwrap(), 2).unwrap();
         let sets: Vec<Vec<u32>> = (0..120).map(|i| vec![(i % 4) as u32]).collect();
-        let sink = ShardedAccumulator::new(BitReportAccumulator::new(6), 3);
+        let sink = ShardedAccumulator::new(ShapedAccumulator::for_mechanism(&mech), 3);
         let mut stream =
             SeededReportStream::new(&mech, InputBatch::Sets(&sets), 5).with_chunk_size(50);
         assert_eq!(stream.ingest_all(&sink).unwrap(), 120);

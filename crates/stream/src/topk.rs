@@ -62,7 +62,7 @@
 //! assert_eq!(tracker.finish().unwrap()[0], 5, "item 5 dominates the stream");
 //! ```
 
-use crate::accumulator::{Report, ReportAccumulator, ShapedAccumulator};
+use crate::accumulator::{Report, ShapedAccumulator};
 use crate::sharded::ShardedAccumulator;
 use idldp_core::error::{Error, Result};
 use idldp_core::mechanism::Mechanism;
@@ -106,15 +106,15 @@ pub struct Candidate {
     pub estimate: f64,
 }
 
-/// Online top-k / threshold tracker over any sharded report accumulator.
+/// Online top-k / threshold tracker over a sharded report accumulator.
 ///
 /// See the [module docs](self) for the snapshot → prune → re-estimate loop
 /// and the batch-equivalence guarantee. Construct with
-/// [`HeavyHitterTracker::for_mechanism`] (shape-dispatched sink) or
+/// [`HeavyHitterTracker::for_mechanism`] (shape-matched sink) or
 /// [`HeavyHitterTracker::new`] (bring your own sharding).
-pub struct HeavyHitterTracker<'a, A: ReportAccumulator = ShapedAccumulator> {
+pub struct HeavyHitterTracker<'a> {
     mechanism: &'a dyn Mechanism,
-    sink: ShardedAccumulator<A>,
+    sink: ShardedAccumulator,
     mode: TrackerMode,
     cadence: usize,
     since_refresh: usize,
@@ -122,7 +122,7 @@ pub struct HeavyHitterTracker<'a, A: ReportAccumulator = ShapedAccumulator> {
     candidates: Vec<Candidate>,
 }
 
-impl<'a> HeavyHitterTracker<'a, ShapedAccumulator> {
+impl<'a> HeavyHitterTracker<'a> {
     /// A tracker whose sink ingests the mechanism's native wire shape,
     /// striped over `num_shards` shards — the configuration `idldp ingest
     /// --top-k` runs.
@@ -145,9 +145,7 @@ impl<'a> HeavyHitterTracker<'a, ShapedAccumulator> {
             cadence,
         )
     }
-}
 
-impl<'a, A: ReportAccumulator> HeavyHitterTracker<'a, A> {
     /// Wraps an existing sharded sink. The sink may already hold users
     /// (e.g. it was restored from a checkpoint); the tracker refreshes
     /// immediately in that case so the served candidates reflect it.
@@ -158,7 +156,7 @@ impl<'a, A: ReportAccumulator> HeavyHitterTracker<'a, A> {
     /// NaN threshold, under which no item could ever qualify).
     pub fn new(
         mechanism: &'a dyn Mechanism,
-        sink: ShardedAccumulator<A>,
+        sink: ShardedAccumulator,
         mode: TrackerMode,
         cadence: usize,
     ) -> Result<Self> {
@@ -219,7 +217,7 @@ impl<'a, A: ReportAccumulator> HeavyHitterTracker<'a, A> {
 
     /// The wrapped sharded sink (read access — e.g. for checkpointing the
     /// raw snapshot alongside tracker output).
-    pub fn sink(&self) -> &ShardedAccumulator<A> {
+    pub fn sink(&self) -> &ShardedAccumulator {
         &self.sink
     }
 
@@ -388,7 +386,7 @@ impl<'a, A: ReportAccumulator> HeavyHitterTracker<'a, A> {
     }
 
     /// Consumes the tracker, returning the wrapped sink.
-    pub fn into_sink(self) -> ShardedAccumulator<A> {
+    pub fn into_sink(self) -> ShardedAccumulator {
         self.sink
     }
 }
@@ -419,12 +417,7 @@ mod tests {
             .collect()
     }
 
-    fn drain<'a, A: ReportAccumulator>(
-        tracker: &mut HeavyHitterTracker<'a, A>,
-        mech: &dyn Mechanism,
-        items: &[u32],
-        seed: u64,
-    ) {
+    fn drain(tracker: &mut HeavyHitterTracker<'_>, mech: &dyn Mechanism, items: &[u32], seed: u64) {
         let mut stream = crate::SeededReportStream::new(mech, InputBatch::Items(items), seed)
             .with_chunk_size(128);
         while stream
@@ -449,7 +442,10 @@ mod tests {
         )
         .is_err());
         // Width-mismatched sink.
-        let narrow = ShardedAccumulator::new(crate::BitReportAccumulator::new(3), 2);
+        let narrow = ShardedAccumulator::new(
+            ShapedAccumulator::for_shape(idldp_core::report::ReportShape::Bits, 3),
+            2,
+        );
         assert!(
             HeavyHitterTracker::new(&mech, narrow, TrackerMode::TopK { k: 1, slack: 0 }, 10)
                 .is_err()

@@ -16,15 +16,11 @@ use idldp_core::mechanism::{InputBatch, Mechanism};
 use idldp_core::olh::OptimalLocalHashing;
 use idldp_core::params::LevelParams;
 use idldp_core::ps::PsMechanism;
-use idldp_core::report::ReportData;
+use idldp_core::report::{ReportData, ReportShape};
 use idldp_core::snapshot::AccumulatorSnapshot;
 use idldp_core::subset::SubsetSelection;
 use idldp_num::rng::SplitMix64;
-use idldp_stream::{
-    BitReportAccumulator, HashedReportAccumulator, ItemSetReportAccumulator,
-    OneHotReportAccumulator, ReportAccumulator, SeededReportStream, ShapedAccumulator,
-    ShardedAccumulator,
-};
+use idldp_stream::{SeededReportStream, ShapedAccumulator, ShardedAccumulator};
 use proptest::prelude::*;
 
 /// Number of registered mechanism kinds the generators draw from.
@@ -108,7 +104,7 @@ fn materialize(mech: &dyn Mechanism, inputs: InputBatch<'_>, seed: u64) -> Vec<R
 }
 
 /// Sequential reference: one accumulator, reports in order.
-fn sequential<A: ReportAccumulator>(mut acc: A, reports: &[ReportData]) -> AccumulatorSnapshot {
+fn sequential(mut acc: ShapedAccumulator, reports: &[ReportData]) -> AccumulatorSnapshot {
     for r in reports {
         acc.accumulate(r.as_report()).unwrap();
     }
@@ -117,8 +113,8 @@ fn sequential<A: ReportAccumulator>(mut acc: A, reports: &[ReportData]) -> Accum
 
 /// Sharded run with a pseudo-random report→shard assignment and a
 /// pseudo-random shard merge order.
-fn sharded_any_order<A: ReportAccumulator + Clone>(
-    prototype: A,
+fn sharded_any_order(
+    prototype: ShapedAccumulator,
     reports: &[ReportData],
     shards: usize,
     order_seed: u64,
@@ -214,10 +210,11 @@ proptest! {
                 ReportData::Bits(bits)
             })
             .collect();
-        let via_bits = sequential(BitReportAccumulator::new(mech.report_len()), &bit_reports);
+        let bits = ShapedAccumulator::for_shape(ReportShape::Bits, mech.report_len());
+        let via_bits = sequential(bits, &bit_reports);
         // ...and compare with sharded native-value accumulation.
         let via_one_hot = sharded_any_order(
-            OneHotReportAccumulator::new(mech.report_len()),
+            ShapedAccumulator::for_shape(ReportShape::Value, mech.report_len()),
             &reports,
             shards,
             seed ^ 0xBEEF,
@@ -236,15 +233,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mech = mechanism(6, m);
-        let range = match mech.report_shape() {
-            idldp_core::report::ReportShape::Hashed { range } => range,
-            other => panic!("OLH must declare a hashed shape, got {other:?}"),
-        };
+        let shape = mech.report_shape();
+        prop_assert!(matches!(shape, ReportShape::Hashed { .. }), "{:?}", shape);
+        let range = shape.param();
         let inputs = inputs_for(mech.as_ref(), n);
         let reports = materialize(mech.as_ref(), inputs.batch(), seed);
-        prop_assert!(reports.iter().all(|r| matches!(r, ReportData::Hashed { .. })));
+        prop_assert!(reports.iter().all(|r| shape.is_native(&r.as_report())));
 
-        let proto = HashedReportAccumulator::new(m, range);
+        let proto = ShapedAccumulator::for_shape(shape, m);
         let want = sequential(proto.clone(), &reports);
         let got = sharded_any_order(proto, &reports, shards, seed ^ 0xA5A5);
         prop_assert_eq!(&got, &want);
@@ -273,7 +269,7 @@ proptest! {
             .iter()
             .all(|r| matches!(r, ReportData::ItemSet(items) if items.len() == k)));
 
-        let proto = ItemSetReportAccumulator::new(m);
+        let proto = ShapedAccumulator::for_shape(ReportShape::ItemSet { k: 0 }, m);
         let want = sequential(proto.clone(), &reports);
         let got = sharded_any_order(proto, &reports, shards, seed ^ 0x5A5A);
         prop_assert_eq!(&got, &want);

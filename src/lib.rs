@@ -90,7 +90,7 @@ pub mod prelude {
     pub use idldp_opt::{IdueSolver, Model};
     pub use idldp_sim::{ItemSetExperiment, MechanismSpec, SingleItemExperiment};
     pub use idldp_stream::{
-        BitReportAccumulator, HeavyHitterTracker, Report, ReportAccumulator, SeededReportStream,
-        ShapedAccumulator, ShardedAccumulator, TrackerMode,
+        HeavyHitterTracker, Report, SeededReportStream, ShapedAccumulator, ShardedAccumulator,
+        TrackerMode,
     };
 }
